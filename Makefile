@@ -25,8 +25,10 @@ fmt-check:
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
+# perfbench is a nested module that ./... does not reach.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate
 # with PORT=9090 or a full ADDR=host:9090, so two local instances — or a

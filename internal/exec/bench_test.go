@@ -11,7 +11,10 @@ import (
 
 // BenchmarkRunChain measures the sequential chain executor on a two-step
 // rank chain over a synthetic wide table — the per-row cost of the
-// reorder+evaluate hot loop (arena conversion, in-place extension).
+// reorder+evaluate hot loop (arena conversion, in-place extension). The
+// in-memory case sorts within a 64 MB budget; the spill case gives each
+// sort 1 MB, so every step forms runs and merges them back through the
+// page store (the spill round trip: encode, page I/O, arena decode).
 func BenchmarkRunChain(b *testing.B) {
 	const rows, wide = 50_000, 12
 	cols := make([]storage.Column, wide)
@@ -36,13 +39,24 @@ func BenchmarkRunChain(b *testing.B) {
 		{WF: specs[0].WF(0), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[0].OK)},
 		{WF: specs[1].WF(1), Reorder: core.ReorderFS, SortKey: pk.AscSeq().Concat(specs[1].OK)},
 	}}
-	cfg := Config{MemoryBytes: 64 << 20}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(table, specs, plan, cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		mem  int
+	}{{"inmem", 64 << 20}, {"spill", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Config{MemoryBytes: bc.mem}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, m, err := Run(table, specs, plan, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if (m.BlocksWritten > 0) != (bc.name == "spill") {
+					b.Fatalf("%s: %d blocks written", bc.name, m.BlocksWritten)
+				}
+			}
+		})
 	}
 }
 

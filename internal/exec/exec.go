@@ -148,7 +148,7 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 	var comparisons int64
 	tableBlocks := int64(table.ByteSize()) / int64(cfg.blockSize())
 
-	for _, step := range plan.Steps {
+	for i, step := range plan.Steps {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -167,6 +167,9 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 			Store:        store,
 			Comparisons:  &comparisons,
 			RunFormation: cfg.RunFormation,
+			// Rows read back from a spill keep the arena rows' headroom:
+			// one slot for this step and each later one.
+			Reserve: len(plan.Steps) - i,
 		}
 		in := stream.FromRows(rows)
 		var (
@@ -263,11 +266,13 @@ func RunContext(ctx context.Context, table *storage.Table, specs []window.Spec, 
 // every tuple once per step. The copy also severs the executor from the
 // engine-owned table rows, which must never observe the appends — and the
 // three-index slices pin each row's capacity to its own arena region, so
-// a row cannot grow into its neighbour. In-place extension is safe
-// because the chain never duplicates a row reference: reorders permute
-// (spills decode into fresh tuples), and evaluation emits exactly one
-// output row per input row, so each arena row is extended at most once
-// per step.
+// a row cannot grow into its neighbour. Rows that a reorder spills come
+// back from a storage.Arena with the same headroom (reorder.Config
+// Reserve: one slot per remaining step), so spilling does not cost the
+// in-place extension either. In-place extension is safe because the
+// chain never duplicates a row reference: reorders permute (a spilled
+// row is decoded exactly once), and evaluation emits exactly one output
+// row per input row, so each row is extended at most once per step.
 func arenaRows(table *storage.Table, steps int) []stream.Row {
 	arity := table.Schema.Len()
 	stride := arity + steps

@@ -51,7 +51,7 @@ func ParallelEvaluate(table *storage.Table, spec window.Spec, degree int, cfg Co
 			// Each worker gets its own spill store and the full unit
 			// reorder memory, as in the paper's parallel model.
 			store := pagestore.NewMem(cfg.blockSize(), &pagestore.Stats{})
-			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation}
+			rcfg := reorder.Config{MemoryBytes: cfg.MemoryBytes, Store: store, RunFormation: cfg.RunFormation, Reserve: 1}
 			sorted, _, err := reorder.FullSort(stream.FromTuples(parts[p]), key, rcfg)
 			if err != nil {
 				errs[p] = err

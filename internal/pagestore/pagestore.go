@@ -114,7 +114,7 @@ func (s *Store) Create() (*File, error) {
 // independent and may run concurrently after Seal.
 type File struct {
 	store  *Store
-	mem    []byte   // memory backend payload
+	pages  [][]byte // memory backend payload, one slice per page
 	osf    *os.File // file backend handle (nil for memory)
 	size   int64
 	sealed bool
@@ -130,9 +130,9 @@ func (f *File) Write(p []byte) (int, error) {
 	bs := f.store.blockSize
 	for len(p) > 0 {
 		room := bs - len(f.wbuf)
-		take := room
-		if take > len(p) {
-			take = len(p)
+		take := min(room, len(p))
+		if f.wbuf == nil {
+			f.wbuf = make([]byte, 0, bs)
 		}
 		f.wbuf = append(f.wbuf, p[:take]...)
 		p = p[take:]
@@ -155,11 +155,15 @@ func (f *File) flushPage() error {
 		if _, err := f.osf.Write(f.wbuf); err != nil {
 			return fmt.Errorf("pagestore: flush: %w", err)
 		}
-	} else {
-		f.mem = append(f.mem, f.wbuf...)
+		f.size += int64(len(f.wbuf))
+		f.wbuf = f.wbuf[:0]
+		return nil
 	}
 	f.size += int64(len(f.wbuf))
-	f.wbuf = f.wbuf[:0]
+	// The memory backend keeps the page itself; the next write starts a
+	// fresh one. Only the page Seal flushes can be short.
+	f.pages = append(f.pages, f.wbuf)
+	f.wbuf = nil
 	return nil
 }
 
@@ -186,7 +190,7 @@ func (f *File) Blocks() int64 {
 
 // Release frees backing resources. Readers must be finished.
 func (f *File) Release() {
-	f.mem = nil
+	f.pages = nil
 	f.wbuf = nil
 	if f.osf != nil {
 		name := f.osf.Name()
@@ -239,7 +243,11 @@ func (r *Reader) Read(p []byte) (int, error) {
 		}
 		n = m
 	} else {
-		n = copy(p, f.mem[r.off:])
+		bs := int64(f.store.blockSize)
+		for n < len(p) {
+			off := r.off + int64(n)
+			n += copy(p[n:], f.pages[off/bs][off%bs:])
+		}
 	}
 	if n == 0 {
 		return 0, io.EOF

@@ -82,6 +82,53 @@ func TestReaderSmallReadsCountPagesOnce(t *testing.T) {
 	}
 }
 
+// TestPageListOddReads writes content in odd-sized pieces and reads it
+// back with odd read sizes, so writes and reads both cross the memory
+// backend's page boundaries at every offset within a page.
+func TestPageListOddReads(t *testing.T) {
+	const bs = 64
+	rng := rand.New(rand.NewSource(3))
+	payload := make([]byte, 17*bs+29) // 17 full pages and a short one
+	rng.Read(payload)
+	for _, writeSize := range []int{1, 5, bs - 1, bs, bs + 3, len(payload)} {
+		stats := &Stats{}
+		f, _ := NewMem(bs, stats).Create()
+		for p := payload; len(p) > 0; {
+			n := min(writeSize, len(p))
+			if _, err := f.Write(p[:n]); err != nil {
+				t.Fatal(err)
+			}
+			p = p[n:]
+		}
+		if err := f.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		for _, readSize := range []int{1, 3, 7, bs - 1, bs + 1, 2*bs + 5, 1000} {
+			stats.Reset()
+			rd, _ := f.NewReader()
+			var got []byte
+			buf := make([]byte, readSize)
+			for {
+				n, err := rd.Read(buf)
+				got = append(got, buf[:n]...)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("write %d/read %d: content differs", writeSize, readSize)
+			}
+			if r := stats.BlocksRead(); r != 18 {
+				t.Errorf("write %d/read %d: BlocksRead = %d, want 18", writeSize, readSize, r)
+			}
+		}
+		f.Release()
+	}
+}
+
 func TestIndependentReaders(t *testing.T) {
 	stats := &Stats{}
 	store := NewMem(64, stats)

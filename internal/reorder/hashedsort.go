@@ -55,7 +55,11 @@ type HSStats struct {
 // EncodeHashKey serializes the WHK projection of a tuple; used both for
 // hashing and for MFV lookup.
 func EncodeHashKey(t storage.Tuple, key []attrs.ID) []byte {
-	var buf []byte
+	return appendHashKey(nil, t, key)
+}
+
+// appendHashKey appends the EncodeHashKey encoding of t to buf.
+func appendHashKey(buf []byte, t storage.Tuple, key []attrs.ID) []byte {
 	for _, id := range key {
 		buf = storage.AppendTuple(buf, storage.Tuple{t[id]})
 	}
@@ -82,6 +86,15 @@ type hsBucket struct {
 	memSize int
 	writer  *spill.Writer // non-nil once the bucket has been flushed
 	count   int
+}
+
+// releaseBuckets frees the spill files of the flushed buckets.
+func releaseBuckets(buckets []*hsBucket) {
+	for _, b := range buckets {
+		if b.writer != nil {
+			b.writer.File().Release()
+		}
+	}
 }
 
 // HashedSort reorders the input per Section 3.2. The output stream is one
@@ -116,9 +129,16 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		memUsed   int
 		mfvTuples []storage.Tuple
 		rrNext    int
+		key       []byte // the current tuple's encoded hash key
 		err       error
+		built     bool
 	)
 	defer in.Close()
+	defer func() {
+		if !built {
+			releaseBuckets(buckets)
+		}
+	}()
 
 	flush := func(b *hsBucket) error {
 		if b.writer == nil {
@@ -169,7 +189,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		}
 		st.InputTuples++
 		t := r.Tuple
-		key := EncodeHashKey(t, opt.HashKey)
+		key = appendHashKey(key[:0], t, opt.HashKey)
 		if opt.MFVs != nil && opt.MFVs[string(key)] {
 			// Bypass: straight to the pipelined MFV sort, no partition I/O.
 			mfvTuples = append(mfvTuples, t)
@@ -229,6 +249,7 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		cfg:     cfg,
 		sortKey: opt.SortKey,
 		buckets: buckets,
+		arena:   storage.NewArena(cfg.Reserve),
 		stats:   &st,
 	}
 	if len(mfvTuples) > 0 {
@@ -241,14 +262,18 @@ func HashedSort(in stream.Stream, opt HSOptions, cfg Config) (stream.Stream, HSS
 		}
 		out.current = sorted
 	}
+	built = true
 	return out, st, nil
 }
 
-// hsStream lazily sorts and emits buckets one at a time.
+// hsStream lazily sorts and emits buckets one at a time. The spilled
+// buckets it has not loaded yet are its to release: one by one as they
+// load, all at once on error or Close.
 type hsStream struct {
 	cfg     Config
 	sortKey attrs.Seq
 	buckets []*hsBucket
+	arena   *storage.Arena // decode target of every spilled bucket
 	current []storage.Tuple
 	pos     int
 	stats   *HSStats
@@ -277,12 +302,12 @@ func (s *hsStream) Next() (stream.Row, bool) {
 		}
 		tuples, err := s.loadBucket(b)
 		if err != nil {
-			s.err = err
+			s.fail(err)
 			return stream.Row{}, false
 		}
 		sorted, sstats, err := s.cfg.sorter(s.sortKey).SortTuples(tuples)
 		if err != nil {
-			s.err = err
+			s.fail(err)
 			return stream.Row{}, false
 		}
 		if !sstats.InMemory {
@@ -293,23 +318,30 @@ func (s *hsStream) Next() (stream.Row, bool) {
 	}
 }
 
-// loadBucket returns all of a bucket's tuples, reading back the spilled part.
+// fail records err and releases the buckets not yet loaded.
+func (s *hsStream) fail(err error) {
+	s.err = err
+	releaseBuckets(s.buckets)
+	s.buckets = nil
+}
+
+// loadBucket returns all of a bucket's tuples, reading back the spilled
+// part into the stream's arena and releasing its file.
 func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	if b.writer == nil {
 		return b.mem, nil
 	}
 	f, err := b.writer.Finish()
 	if err != nil {
+		b.writer.File().Release()
 		return nil, err
 	}
-	rd, err := spill.NewReader(f)
+	defer f.Release()
+	rd, err := spill.NewArenaReader(f, s.arena)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		rd.Close()
-		f.Release()
-	}()
+	defer rd.Close()
 	tuples := make([]storage.Tuple, 0, b.count)
 	for {
 		t, ok, err := rd.Next()
@@ -328,4 +360,8 @@ func (s *hsStream) loadBucket(b *hsBucket) ([]storage.Tuple, error) {
 	return tuples, nil
 }
 
-func (s *hsStream) Close() error { return s.err }
+func (s *hsStream) Close() error {
+	releaseBuckets(s.buckets)
+	s.buckets = nil
+	return s.err
+}

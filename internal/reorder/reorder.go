@@ -40,6 +40,9 @@ type Config struct {
 	Comparisons *int64
 	// RunFormation selects the external sort's run formation policy.
 	RunFormation xsort.RunFormation
+	// Reserve is the number of spare slots each tuple read back from a
+	// spill carries for the caller's in-place extension (xsort.Sorter).
+	Reserve int
 }
 
 func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
@@ -49,6 +52,7 @@ func (c Config) sorter(key attrs.Seq) *xsort.Sorter {
 		Store:        c.Store,
 		Comparisons:  c.Comparisons,
 		RunFormation: c.RunFormation,
+		Reserve:      c.Reserve,
 	}
 }
 

@@ -45,29 +45,43 @@ func (w *Writer) Finish() (*pagestore.File, error) {
 // File returns the underlying file (valid before Finish for size queries).
 func (w *Writer) File() *pagestore.File { return w.file }
 
-// Reader decodes tuples back out of a sealed spill file.
+// Reader decodes tuples back out of a sealed spill file into an arena.
 type Reader struct {
-	rd   *pagestore.Reader
-	buf  []byte
-	pos  int
-	fill int
-	eof  bool
+	rd    *pagestore.Reader
+	arena *storage.Arena
+	buf   []byte
+	pos   int
+	fill  int
+	eof   bool
 }
 
-// NewReader opens a sealed spill file for sequential tuple reads.
+// readBufSize is the read buffer of a file larger than one buffer; a
+// smaller file gets a buffer of exactly its size.
+const readBufSize = 64 << 10
+
+// NewReader opens a sealed spill file for sequential tuple reads, decoding
+// into a private arena with no reserve.
 func NewReader(f *pagestore.File) (*Reader, error) {
+	return NewArenaReader(f, storage.NewArena(0))
+}
+
+// NewArenaReader opens a sealed spill file for sequential tuple reads,
+// decoding into arena. Readers of one merge share its arena, so the tuples
+// of all their files fill the same slabs.
+func NewArenaReader(f *pagestore.File, arena *storage.Arena) (*Reader, error) {
 	rd, err := f.NewReader()
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{rd: rd, buf: make([]byte, 0, 64<<10)}, nil
+	size := int(min(f.Size(), readBufSize))
+	return &Reader{rd: rd, arena: arena, buf: make([]byte, 0, size)}, nil
 }
 
 // Next returns the next tuple; ok is false at end of file.
 func (r *Reader) Next() (t storage.Tuple, ok bool, err error) {
 	for {
 		if r.pos < r.fill {
-			t, n, derr := storage.DecodeTuple(r.buf[r.pos:r.fill])
+			t, n, derr := r.arena.Decode(r.buf[r.pos:r.fill])
 			if derr == nil {
 				r.pos += n
 				return t, true, nil
@@ -94,7 +108,7 @@ func (r *Reader) refill() error {
 	copy(r.buf[:cap(r.buf)][:remain], r.buf[r.pos:r.fill])
 	r.buf = r.buf[:cap(r.buf)]
 	if remain == len(r.buf) {
-		bigger := make([]byte, 2*len(r.buf))
+		bigger := make([]byte, max(2*len(r.buf), 1))
 		copy(bigger, r.buf[:remain])
 		r.buf = bigger
 	}

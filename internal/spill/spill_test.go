@@ -151,3 +151,148 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// writeFile spills tuples into a sealed file of store.
+func writeFile(t *testing.T, store *pagestore.Store, tuples []storage.Tuple) *pagestore.File {
+	t.Helper()
+	w, err := NewWriter(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tu := range tuples {
+		if err := w.Write(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// readAll drains rd.
+func readAll(t *testing.T, rd *Reader) []storage.Tuple {
+	t.Helper()
+	defer rd.Close()
+	var out []storage.Tuple
+	for {
+		tu, ok, err := rd.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return out
+		}
+		out = append(out, tu)
+	}
+}
+
+// TestArenaReaderSharedArena reads two files through one arena, as a merge
+// does: every tuple keeps exactly the arena's reserve, and filling one
+// tuple's reserve leaves the others — from either file — untouched.
+func TestArenaReaderSharedArena(t *testing.T) {
+	const reserve = 2
+	store := pagestore.NewMem(64, nil)
+	var files [2][]storage.Tuple
+	for i := 0; i < 300; i++ {
+		files[i%2] = append(files[i%2], storage.Tuple{storage.Int(int64(i)), storage.StringVal("s"), storage.Null})
+	}
+	arena := storage.NewArena(reserve)
+	var got []storage.Tuple
+	for _, tuples := range files {
+		rd, err := NewArenaReader(writeFile(t, store, tuples), arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, readAll(t, rd)...)
+	}
+	for i, tu := range got {
+		if cap(tu)-len(tu) != reserve {
+			t.Fatalf("tuple %d: %d spare slots, want %d", i, cap(tu)-len(tu), reserve)
+		}
+		for r := 0; r < reserve; r++ {
+			tu = tu.Extend(storage.Int(-1))
+		}
+	}
+	for i, tu := range got {
+		want := files[i/150][i%150]
+		if len(tu) != len(want) {
+			t.Fatalf("tuple %d: len %d after neighbours extended", i, len(tu))
+		}
+		for c := range want {
+			if !storage.Equal(tu[c], want[c]) {
+				t.Fatalf("tuple %d col %d = %v, want %v", i, c, tu[c], want[c])
+			}
+		}
+	}
+}
+
+// TestQuickArenaRoundTrip writes random tuples with strings and NULLs,
+// large enough that files exceed the read buffer and tuples straddle its
+// edge, and requires the arena path to equal DecodeTuple of each
+// tuple's own encoding.
+func TestQuickArenaRoundTrip(t *testing.T) {
+	err := quick.Check(func(seed int64, n uint16, blockExp uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		store := pagestore.NewMem(64<<(blockExp%8), nil)
+		tuples := make([]storage.Tuple, int(n%400)+1)
+		for i := range tuples {
+			tu := make(storage.Tuple, 1+rng.Intn(5))
+			for c := range tu {
+				switch rng.Intn(4) {
+				case 0:
+					tu[c] = storage.Null
+				case 1:
+					tu[c] = storage.Int(rng.Int63() - rng.Int63())
+				case 2:
+					tu[c] = storage.Float(rng.Float64())
+				default:
+					b := make([]byte, rng.Intn(1200))
+					rng.Read(b)
+					tu[c] = storage.StringVal(string(b))
+				}
+			}
+			tuples[i] = tu
+		}
+		w, err := NewWriter(store)
+		if err != nil {
+			return false
+		}
+		for _, tu := range tuples {
+			if w.Write(tu) != nil {
+				return false
+			}
+		}
+		f, err := w.Finish()
+		if err != nil {
+			return false
+		}
+		rd, err := NewArenaReader(f, storage.NewArena(int(blockExp%3)))
+		if err != nil {
+			return false
+		}
+		defer rd.Close()
+		for i := 0; ; i++ {
+			tu, ok, err := rd.Next()
+			if err != nil {
+				return false
+			}
+			if !ok {
+				return i == len(tuples)
+			}
+			want, _, err := storage.DecodeTuple(storage.AppendTuple(nil, tuples[i]))
+			if err != nil || len(tu) != len(want) || cap(tu)-len(tu) != int(blockExp%3) {
+				return false
+			}
+			for c := range want {
+				if tu[c].Kind() != want[c].Kind() || !storage.Equal(tu[c], want[c]) {
+					return false
+				}
+			}
+		}
+	}, &quick.Config{MaxCount: 60})
+	if err != nil {
+		t.Error(err)
+	}
+}

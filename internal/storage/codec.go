@@ -61,20 +61,39 @@ func EncodedSize(t Tuple) int {
 }
 
 // DecodeTuple decodes one tuple from buf, returning the tuple and the number
-// of bytes consumed.
+// of bytes consumed. The tuple and its strings are freshly allocated; the
+// spill readers decode through an Arena instead.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
+	ncols, pos, err := decodeHeader(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	t := make(Tuple, ncols)
+	if pos, err = decodeValues(buf, pos, t, nil); err != nil {
+		return nil, 0, err
+	}
+	return t, pos, nil
+}
+
+// decodeHeader reads the column count and returns it with its length.
+func decodeHeader(buf []byte) (int, int, error) {
 	ncols, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, 0, ErrCorrupt
+		return 0, 0, ErrCorrupt
 	}
 	if ncols > uint64(len(buf)) { // cheap sanity bound: ≥1 byte per column
-		return nil, 0, fmt.Errorf("%w: column count %d", ErrCorrupt, ncols)
+		return 0, 0, fmt.Errorf("%w: column count %d", ErrCorrupt, ncols)
 	}
-	pos := n
-	t := make(Tuple, ncols)
+	return int(ncols), n, nil
+}
+
+// decodeValues fills t from buf starting at pos and returns the position
+// after the last value. Strings are copied into a's byte slab when a is
+// non-nil and into fresh allocations otherwise.
+func decodeValues(buf []byte, pos int, t Tuple, a *Arena) (int, error) {
 	for i := range t {
 		if pos >= len(buf) {
-			return nil, 0, ErrCorrupt
+			return 0, ErrCorrupt
 		}
 		kind := Kind(buf[pos])
 		pos++
@@ -84,32 +103,37 @@ func DecodeTuple(buf []byte) (Tuple, int, error) {
 		case KindInt:
 			v, n := binary.Varint(buf[pos:])
 			if n <= 0 {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			pos += n
 			t[i] = Int(v)
 		case KindFloat:
 			if pos+8 > len(buf) {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			t[i] = Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:])))
 			pos += 8
 		case KindString:
 			l, n := binary.Uvarint(buf[pos:])
 			if n <= 0 {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
 			pos += n
 			if uint64(pos)+l > uint64(len(buf)) {
-				return nil, 0, ErrCorrupt
+				return 0, ErrCorrupt
 			}
-			t[i] = StringVal(string(buf[pos : pos+int(l)]))
+			b := buf[pos : pos+int(l)]
+			if a != nil {
+				t[i] = StringVal(a.string(b))
+			} else {
+				t[i] = StringVal(string(b))
+			}
 			pos += int(l)
 		default:
-			return nil, 0, fmt.Errorf("%w: kind %d", ErrCorrupt, kind)
+			return 0, fmt.Errorf("%w: kind %d", ErrCorrupt, kind)
 		}
 	}
-	return t, pos, nil
+	return pos, nil
 }
 
 func uvarintLen(v uint64) int {

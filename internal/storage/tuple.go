@@ -29,9 +29,10 @@ func (t Tuple) Append(v Value) Tuple {
 // Extend appends v, reusing the receiver's spare capacity when it has any
 // — the in-place twin of Append. The caller must own the backing array
 // past len(t): the executor's arena-allocated rows reserve one slot per
-// chain step for exactly this, so a k-step chain extends every row k
+// chain step for exactly this, and tuples decoded from a spill through an
+// Arena carry the same reserve, so a k-step chain extends every row k
 // times with zero per-row allocations. Tuples with no spare capacity
-// (decoded from a spill or the wire, or engine-table rows) degrade to an
+// (decoded from the wire, or engine-table rows) degrade to an
 // Append-style copy via the append builtin.
 func (t Tuple) Extend(v Value) Tuple {
 	return append(t, v)
@@ -177,7 +178,13 @@ func CompareSeq(a, b Tuple, seq attrs.Seq) int {
 // EqualOn reports whether a and b agree on every attribute in set (NULLs
 // compare equal, as in SQL grouping semantics).
 func EqualOn(a, b Tuple, set attrs.Set) bool {
-	for _, id := range set.IDs() {
+	return EqualOnIDs(a, b, set.IDs())
+}
+
+// EqualOnIDs is EqualOn over a set's precomputed IDs, for callers that
+// compare many tuple pairs on one set.
+func EqualOnIDs(a, b Tuple, ids []attrs.ID) bool {
+	for _, id := range ids {
 		if !Equal(a[id], b[id]) {
 			return false
 		}

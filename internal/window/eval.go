@@ -3,6 +3,7 @@ package window
 import (
 	"fmt"
 
+	"repro/internal/attrs"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -24,15 +25,17 @@ func Evaluate(in stream.Stream, spec Spec) (stream.Stream, error) {
 	if spec.Kind.needsArg() && spec.Arg < 0 {
 		return nil, fmt.Errorf("window: %s requires an argument column", spec.Kind)
 	}
-	return &evalStream{in: in, spec: spec}, nil
+	return &evalStream{in: in, spec: spec, pk: spec.PK.IDs()}, nil
 }
 
 // evalStream buffers one partition at a time.
 type evalStream struct {
 	in   stream.Stream
 	spec Spec
+	pk   []attrs.ID // spec.PK.IDs(), computed once
 
-	part       []stream.Row // current partition with boundaries
+	part       []stream.Row    // current partition with boundaries
+	tuples     []storage.Tuple // part's tuples, the function's input
 	derived    []storage.Value
 	pos        int
 	pending    stream.Row
@@ -86,7 +89,9 @@ func (e *evalStream) fillPartition() error {
 	}
 	head := e.pending
 	e.hasPending = false
-	part := []stream.Row{head}
+	// The previous partition has been emitted in full, so its buffers are
+	// free to reuse.
+	part := append(e.part[:0], head)
 	for {
 		r, ok := e.in.Next()
 		if !ok {
@@ -95,16 +100,17 @@ func (e *evalStream) fillPartition() error {
 			}
 			break
 		}
-		if !storage.EqualOn(head.Tuple, r.Tuple, e.spec.PK) {
+		if !storage.EqualOnIDs(head.Tuple, r.Tuple, e.pk) {
 			e.pending, e.hasPending = r, true
 			break
 		}
 		part = append(part, r)
 	}
-	tuples := make([]storage.Tuple, len(part))
-	for i, r := range part {
-		tuples[i] = r.Tuple
+	tuples := e.tuples[:0]
+	for _, r := range part {
+		tuples = append(tuples, r.Tuple)
 	}
+	e.tuples = tuples
 	derived, err := computePartition(tuples, e.spec)
 	if err != nil {
 		return err
@@ -122,10 +128,11 @@ func (e *evalStream) Close() error { return e.err }
 // arranged in matching order) and returns the derived column.
 func EvaluateSlice(rows []storage.Tuple, spec Spec) ([]storage.Value, error) {
 	out := make([]storage.Value, 0, len(rows))
+	pk := spec.PK.IDs()
 	start := 0
 	for start < len(rows) {
 		end := start + 1
-		for end < len(rows) && storage.EqualOn(rows[start], rows[end], spec.PK) {
+		for end < len(rows) && storage.EqualOnIDs(rows[start], rows[end], pk) {
 			end++
 		}
 		vals, err := computePartition(rows[start:end], spec)

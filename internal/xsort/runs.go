@@ -16,20 +16,25 @@ import (
 //
 // buf holds the tuples that filled the memory budget; next supplies the rest.
 func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, error) {
-	h := &rsHeap{sorter: s}
-	h.items = make([]rsItem, 0, len(buf))
-	for _, t := range buf {
-		h.items = append(h.items, rsItem{run: 0, tuple: t})
+	h := &rsHeap{sorter: s, items: make([]rsItem, len(buf))}
+	for i, t := range buf {
+		h.items[i] = rsItem{run: 0, tuple: t}
 	}
-	heap.Init(h)
+	h.init()
 
 	var (
 		runs    []*run
 		writer  *spill.Writer
 		current = 0
 		last    storage.Tuple
-		err     error
 	)
+	fail := func(err error) ([]*run, error) {
+		if writer != nil {
+			writer.File().Release()
+		}
+		releaseRuns(runs)
+		return nil, err
+	}
 	closeCurrent := func() error {
 		if writer == nil {
 			return nil
@@ -42,27 +47,25 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 		writer = nil
 		return nil
 	}
-	for h.Len() > 0 {
+	for len(h.items) > 0 {
 		item := h.items[0]
 		if item.run != current {
-			if err = closeCurrent(); err != nil {
-				releaseRuns(runs)
-				return nil, err
+			if err := closeCurrent(); err != nil {
+				return fail(err)
 			}
 			current = item.run
 			last = nil
 		}
 		if writer == nil {
-			writer, err = spill.NewWriter(s.Store)
+			w, err := spill.NewWriter(s.Store)
 			if err != nil {
-				releaseRuns(runs)
-				return nil, err
+				return fail(err)
 			}
+			writer = w
 		}
-		heap.Pop(h)
-		if err = writer.Write(item.tuple); err != nil {
-			releaseRuns(runs)
-			return nil, err
+		h.pop()
+		if err := writer.Write(item.tuple); err != nil {
+			return fail(err)
 		}
 		last = item.tuple
 		if t, ok := next(); ok {
@@ -70,12 +73,11 @@ func (s *Sorter) formRunsReplacement(buf []storage.Tuple, next Input) ([]*run, e
 			if s.less(t, last) {
 				it.run = current + 1
 			}
-			heap.Push(h, it)
+			h.push(it)
 		}
 	}
-	if err = closeCurrent(); err != nil {
-		releaseRuns(runs)
-		return nil, err
+	if err := closeCurrent(); err != nil {
+		return fail(err)
 	}
 	return runs, nil
 }
@@ -87,27 +89,73 @@ type rsItem struct {
 	tuple storage.Tuple
 }
 
+// rsHeap is a binary min-heap of rsItems. Its init, push and pop sift in
+// exactly container/heap's order, so the comparison count — a paper cost
+// counter — is the same as with the container/heap interface, without
+// boxing every item into an interface value.
 type rsHeap struct {
 	items  []rsItem
 	sorter *Sorter
 }
 
-func (h *rsHeap) Len() int { return len(h.items) }
-func (h *rsHeap) Less(i, j int) bool {
-	a, b := h.items[i], h.items[j]
+func (h *rsHeap) less(i, j int) bool {
+	a, b := &h.items[i], &h.items[j]
 	if a.run != b.run {
 		return a.run < b.run
 	}
 	return h.sorter.less(a.tuple, b.tuple)
 }
-func (h *rsHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *rsHeap) Push(x interface{}) { h.items = append(h.items, x.(rsItem)) }
-func (h *rsHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+
+func (h *rsHeap) swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
+
+func (h *rsHeap) init() {
+	n := len(h.items)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *rsHeap) push(it rsItem) {
+	h.items = append(h.items, it)
+	h.up(len(h.items) - 1)
+}
+
+// pop removes the minimum; the caller has already read it from items[0].
+func (h *rsHeap) pop() {
+	n := len(h.items) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	h.items[n] = rsItem{}
+	h.items = h.items[:n]
+}
+
+func (h *rsHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *rsHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
 }
 
 // formRunsLoadSort is the ablation alternative: fill memory, quicksort,
@@ -122,11 +170,13 @@ func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, erro
 		}
 		for _, t := range chunk {
 			if err := w.Write(t); err != nil {
+				w.File().Release()
 				return err
 			}
 		}
 		f, err := w.Finish()
 		if err != nil {
+			w.File().Release()
 			return err
 		}
 		runs = append(runs, &run{file: f})
@@ -187,17 +237,28 @@ func (h *mergeHeap) Pop() interface{} {
 	return it
 }
 
-// startMerge opens readers for all runs and primes the heap.
-func (s *Sorter) startMerge(runs []*run) (*mergeHeap, error) {
+// close closes the readers of every source still in the heap.
+func (h *mergeHeap) close() {
+	for _, src := range h.items {
+		src.rd.Close()
+	}
+	h.items = nil
+}
+
+// startMerge opens readers for all runs, decoding into arena, and primes
+// the heap. On error it closes the readers it opened.
+func (s *Sorter) startMerge(runs []*run, arena *storage.Arena) (*mergeHeap, error) {
 	h := &mergeHeap{sorter: s}
 	for _, r := range runs {
-		rd, err := spill.NewReader(r.file)
+		rd, err := spill.NewArenaReader(r.file, arena)
 		if err != nil {
+			h.close()
 			return nil, err
 		}
 		t, ok, err := rd.Next()
 		if err != nil {
 			rd.Close()
+			h.close()
 			return nil, err
 		}
 		if !ok {
@@ -231,43 +292,52 @@ func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
 	return t, true, nil
 }
 
-// mergeToRun merges runs into a single re-materialized run.
+// mergeToRun merges runs into a single re-materialized run. It releases
+// the input runs on every path, and its output run on error. Merged tuples
+// are re-encoded at once, so they decode with no reserve.
 func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
-	h, err := s.startMerge(runs)
+	defer releaseRuns(runs)
+	h, err := s.startMerge(runs, storage.NewArena(0))
 	if err != nil {
 		return nil, err
 	}
+	defer h.close()
 	w, err := spill.NewWriter(s.Store)
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t, ok, err := s.mergeNext(h)
+		if err == nil && ok {
+			err = w.Write(t)
+		}
 		if err != nil {
+			w.File().Release()
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		if err := w.Write(t); err != nil {
-			return nil, err
-		}
 	}
-	releaseRuns(runs)
 	f, err := w.Finish()
 	if err != nil {
+		w.File().Release()
 		return nil, err
 	}
 	return &run{file: f}, nil
 }
 
 // mergeToSlice merges the final wave of runs straight into memory (this is
-// the pipelined final merge: no output re-materialization).
+// the pipelined final merge: no output re-materialization). It releases
+// the input runs on every path. The result's tuples come from one arena
+// with the sorter's reserve.
 func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error) {
-	h, err := s.startMerge(runs)
+	defer releaseRuns(runs)
+	h, err := s.startMerge(runs, storage.NewArena(s.Reserve))
 	if err != nil {
 		return nil, err
 	}
+	defer h.close()
 	out := make([]storage.Tuple, 0, sizeHint)
 	for {
 		t, ok, err := s.mergeNext(h)
@@ -279,6 +349,5 @@ func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error
 		}
 		out = append(out, t)
 	}
-	releaseRuns(runs)
 	return out, nil
 }

@@ -53,6 +53,9 @@ type Sorter struct {
 	MemoryBytes  int
 	Store        *pagestore.Store
 	RunFormation RunFormation
+	// Reserve is the number of spare slots each tuple decoded by the final
+	// merge carries (storage.Arena), so the caller can Extend it in place.
+	Reserve int
 
 	// Comparisons, if non-nil, accumulates key comparison counts.
 	Comparisons *int64
@@ -162,17 +165,15 @@ func (s *Sorter) sort(in Input, sizeHint int) (out []storage.Tuple, st Stats, er
 
 	// Phase 2: merge down to one logical stream. Intermediate passes
 	// re-materialize; the final merge streams directly into the result.
+	// Each merge releases the runs it consumes, on every path.
 	fanIn := s.mergeOrder()
 	for len(runs) > fanIn {
 		var next []*run
 		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
+			hi := min(lo+fanIn, len(runs))
 			merged, err := s.mergeToRun(runs[lo:hi])
 			if err != nil {
-				releaseRuns(runs[lo:])
+				releaseRuns(runs[hi:])
 				releaseRuns(next)
 				return nil, st, err
 			}
