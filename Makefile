@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench fmt fmt-check vet loc serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
+
+# Go line counts of the root module, non-test and test, with the nested
+# perfbench module left out: the size figure a refactor reports its net
+# delta in (run on the parent commit and on the change, then subtract).
+LOC_FIND = find . \( -path ./perfbench -o -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test %s\n' "$$($(LOC_FIND) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf 'test     %s\n' "$$($(LOC_FIND) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Run the HTTP query service (see cmd/windserve -h for knobs). Relocate
 # with PORT=9090 or a full ADDR=host:9090, so two local instances — or a

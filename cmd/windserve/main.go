@@ -237,9 +237,18 @@ func startPprof(addr string) {
 	fmt.Printf("windserve: pprof on http://%s/debug/pprof/\n", addr)
 }
 
+// Connection timeouts for the query server. There is deliberately no
+// ReadTimeout or WriteTimeout: request bodies (appends, shuffle
+// deliveries) and responses (row streams, subscriptions) stream for as
+// long as the query runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serve runs the HTTP server with graceful shutdown on SIGINT/SIGTERM.
 func serve(addr string, h http.Handler) {
-	srv := &http.Server{Addr: addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

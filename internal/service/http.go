@@ -24,11 +24,13 @@ import (
 //	GET  /stats   service Snapshot as JSON
 //	GET  /healthz "ok"
 //
-// /query answers with a buffered JSON body by default; a request carrying
-// "stream":true, ?stream=1 or `Accept: application/x-ndjson` gets the
-// chunked NDJSON stream instead (stream.go) — rows leave as the cursor
-// yields them and the admission slot is released when the stream ends or
-// the client disconnects. service.Client is the Go consumer of that shape.
+// /query answers with a buffered JSON body by default — the drained
+// cursor (Service.Query) rendered whole; a request carrying "stream":true,
+// ?stream=1 or `Accept: application/x-ndjson` gets the chunked NDJSON
+// stream instead (stream.go) — rows leave as the cursor yields them and
+// the admission slot is released when the stream ends or the client
+// disconnects. service.Client is the Go consumer of that shape. POST
+// bodies are bounded by MaxStatementBytes.
 //
 // With Config.ShardRoutes, the /shard/* node surface (shard.go) is
 // mounted too.
@@ -128,6 +130,29 @@ func StatusFor(err error) (int, string) {
 	}
 }
 
+// MaxStatementBytes bounds the request body of every statement route:
+// /query on the engine service and the cluster coordinator, /shard/query,
+// and the /shard/shuffle/run and /shard/shuffle/drop control routes. Those
+// bodies carry SQL and routing state, never rows; the row-payload routes
+// (/append, /shard/register, /shard/shuffle) are not bounded by it.
+const MaxStatementBytes = 1 << 20
+
+// DecodeStatementBody decodes a statement route's JSON body into v,
+// reading at most MaxStatementBytes. On failure it returns the status to
+// answer with: 413 for an oversized body, 400 for a malformed one.
+func DecodeStatementBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxStatementBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", MaxStatementBytes)
+	default:
+		return http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)
+	}
+}
+
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -145,8 +170,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		req.SQL = r.URL.Query().Get("q")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+		if status, err := DecodeStatementBody(w, r, &req); err != nil {
+			writeError(w, status, "request", fmt.Errorf("service: %w", err))
 			return
 		}
 	default:

@@ -58,6 +58,33 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if rec.Code != http.StatusOK || resp["cache_hit"] != true {
 		t.Fatalf("GET repeat: status %d cache_hit=%v", rec.Code, resp["cache_hit"])
 	}
+	// EXPLAIN ANALYZE is served buffered too, as its one-column rendering.
+	rec, resp = doJSON(t, h, http.MethodGet,
+		"/query?q="+url.QueryEscape("EXPLAIN ANALYZE SELECT empnum, rank() OVER (ORDER BY salary DESC) AS r FROM emptab"), "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("EXPLAIN ANALYZE: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if cols, _ := resp["columns"].([]any); len(cols) != 1 || cols[0] != "explain_analyze" || resp["row_count"].(float64) < 1 {
+		t.Fatalf("EXPLAIN ANALYZE: columns %v, %v rows", resp["columns"], resp["row_count"])
+	}
+}
+
+// TestStatementBodyBound: every statement route answers a body past
+// MaxStatementBytes with 413 kind "request", and the rejection leaves no
+// slot, in-flight query or registry entry behind.
+func TestStatementBodyBound(t *testing.T) {
+	svc := newTestService(t, Config{ShardRoutes: true}, 100)
+	h := svc.Handler()
+	huge := `{"sql": "` + strings.Repeat("x", MaxStatementBytes) + `"}`
+	for _, path := range []string{"/query", "/shard/query", "/shard/shuffle/run", "/shard/shuffle/drop"} {
+		rec, resp := doJSON(t, h, http.MethodPost, path, huge)
+		if rec.Code != http.StatusRequestEntityTooLarge || resp["kind"] != "request" {
+			t.Fatalf("%s: status %d kind %v, want 413 request", path, rec.Code, resp["kind"])
+		}
+	}
+	if st := svc.Stats(); len(svc.gov.slots) != 0 || st.InFlight != 0 || st.LiveQueries != 0 || svc.Registry().Len() != 0 {
+		t.Fatalf("after rejections: slots=%d in_flight=%d live=%d, want all 0", len(svc.gov.slots), st.InFlight, st.LiveQueries)
+	}
 }
 
 // TestHTTPErrorTaxonomy asserts the full status mapping through the

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -237,14 +236,10 @@ func (s *Service) recordTrace(id, src string, start time.Time, elapsed time.Dura
 // cached plans via the catalog generation).
 func (s *Service) Engine() *windowdb.Engine { return s.eng }
 
-// resolve turns statement text into its Prepared through the plan cache,
-// preparing and caching on a miss. The bool reports a cache hit.
-func (s *Service) resolve(src string) (*sql.Prepared, bool, error) {
-	return s.resolveFP(src, "")
-}
-
-// resolveFP is resolve with a coordinator-shipped plan fingerprint: when a
-// scatter or shuffle request carries the coordinator's fingerprint of the
+// resolveFP turns statement text into its Prepared through the plan
+// cache, preparing and caching on a miss; the bool reports a cache hit.
+// fp is an optional coordinator-shipped plan fingerprint: when a scatter
+// or shuffle request carries the coordinator's fingerprint of the
 // statement, the node answers from its fingerprint index — one O(1) map
 // lookup instead of normalizing the SQL text — before falling back to the
 // text-keyed path. A miss prepares as usual and links the fingerprint for
@@ -291,115 +286,30 @@ type QueryResult struct {
 	TraceID string
 }
 
-// Query serves one query: plan-cache lookup (preparing and caching on
-// miss), slot admission, execution under ctx. Error classes: parse and
-// bind errors (sql.ErrParse/ErrBind), unknown tables
-// (catalog.ErrUnknownTable), admission rejection (ErrOverloaded), and
-// ctx.Err() for queries cancelled or timed out while queued or between
-// chain steps; anything else is an engine fault.
+// Query serves one query buffered: QueryContext's cursor, drained into a
+// table. Error classes: parse and bind errors (sql.ErrParse/ErrBind),
+// unknown tables (catalog.ErrUnknownTable), admission rejection
+// (ErrOverloaded), and ctx.Err() for queries cancelled or timed out while
+// queued or between chain steps; anything else is an engine fault.
 func (s *Service) Query(ctx context.Context, src string) (*QueryResult, error) {
-	if windowdb.IsInsert(src) {
-		start := time.Now()
-		rows, err := s.insertStream(ctx, src)
-		if err != nil {
-			return nil, err
-		}
-		res, err := windowdb.DrainResult(rows)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryResult{Result: res, Elapsed: time.Since(start)}, nil
-	}
 	if _, ok := windowdb.StripSubscribe(src); ok {
 		// A subscription never completes, so it cannot be served buffered.
 		return nil, fmt.Errorf("%w: SUBSCRIBE needs a streaming client (stream=1 or Accept: %s)", sql.ErrBind, ContentTypeNDJSON)
 	}
-	return s.serve(ctx, src, "", false)
-}
-
-// QueryShardLocal serves the shard-local part of a statement: WHERE, the
-// window chain and projection, skipping DISTINCT, ORDER BY and LIMIT —
-// the phases a scatter-gather coordinator applies over the concatenation
-// of every shard's output. It shares Query's plan cache (the Prepared is
-// the same object; only the execution entry point differs), admission
-// control and metrics. subplanFP is the coordinator's optional subplan
-// fingerprint (see StreamShardLocal); "" derives the identity locally.
-func (s *Service) QueryShardLocal(ctx context.Context, src, subplanFP string) (*QueryResult, error) {
-	return s.serve(ctx, src, subplanFP, true)
-}
-
-func (s *Service) serve(ctx context.Context, src, subplanFP string, shardLocal bool) (*QueryResult, error) {
-	if s.cfg.DefaultTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
-	// The kill cancel wraps ctx unconditionally: DELETE /debug/queries/{id}
-	// fires it whether or not a timeout is armed.
-	ctx, kill := context.WithCancel(ctx)
-	defer kill()
-	id := trace.IDFromContext(ctx)
-	ctx = trace.NewContext(ctx, id)
-	entry := s.reg.Register(id, src, s.role(), trace.ClientFromContext(ctx), kill)
-	defer s.reg.Remove(entry)
-	live := entry.Live()
-	ctx = trace.WithLive(ctx, live)
-	live.SetPhase("planning")
-
 	start := time.Now()
-	prep, hit, err := s.resolve(src)
-	if err != nil {
-		s.metrics.failures.Add(1)
-		return nil, err
-	}
-
-	live.SetPhase("queued")
-	queueStart := time.Now()
-	if _, err := s.gov.acquire(ctx); err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			s.metrics.rejected.Add(1)
-		}
-		s.metrics.failures.Add(1)
-		return nil, err
-	}
-	queued := time.Since(queueStart)
-	live.RaiseMemPeak(1)
-	live.SetPhase("executing")
-
-	// Release the slot and the gauge via defer: a panicking execution
-	// (recovered per-request by net/http) must not leak a slot, or the
-	// governor would wedge shut while /healthz still answers ok.
-	res, err := func() (*windowdb.Result, error) {
-		defer s.gov.release()
-		s.metrics.beginExec()
-		defer s.metrics.endExec()
-		return s.execPrepared(ctx, prep, subplanFP, shardLocal)
-	}()
-
-	elapsed := time.Since(start)
-	var execM *exec.Metrics
-	var rowsOut int64
-	var meta *windowdb.QueryMetrics
-	if res != nil {
-		execM = res.Metrics
-		if res.Table != nil {
-			rowsOut = int64(res.Table.Len())
-		}
-		meta = windowdb.MetaFromResult(res)
-	}
-	live.AddRowsEmitted(rowsOut)
-	if entry.Killed() && err != nil {
-		s.metrics.aborted.Add(1)
-	} else {
-		s.metrics.observe(execM, rowsOut, elapsed, err)
-	}
-	s.recordTrace(id, src, start, elapsed, queryTrace(elapsed, queued, hit, rowsOut, meta), err)
+	rows, err := s.QueryContext(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	return &QueryResult{Result: res, CacheHit: hit, Queued: queued, Elapsed: elapsed, TraceID: id}, nil
+	res, err := windowdb.DrainResult(rows)
+	if err != nil {
+		return nil, err
+	}
+	out := &QueryResult{Result: res, Elapsed: time.Since(start)}
+	if m := rows.Metrics(); m != nil {
+		out.CacheHit, out.Queued, out.TraceID = m.CacheHit, m.Queued, m.TraceID
+	}
+	return out, nil
 }
 
 // queryTrace assembles a served query's span tree: the admission wait,
@@ -506,7 +416,7 @@ func (s *Service) PrepareContext(ctx context.Context, src string) (windowdb.Stmt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if _, _, err := s.resolve(src); err != nil {
+	if _, _, err := s.resolveFP(src, ""); err != nil {
 		return nil, err
 	}
 	return &serviceStmt{s: s, src: src}, nil
@@ -607,23 +517,28 @@ func (s *Service) streamCursor(ctx context.Context, display, src, fp, phase stri
 	// Until the slot is handed to the cursor, release it on every exit —
 	// error or panic (recovered per-request by net/http): a panicking
 	// chain must not wedge the governor shut while /healthz still answers
-	// ok, same discipline as serve()'s deferred release.
+	// ok.
 	handoff := false
 	defer func() {
 		if !handoff {
-			s.gov.release()
 			s.metrics.endExec()
+			s.gov.release()
 		}
 	}()
 
 	cur, err := open(ctx, prep)
 	if err != nil {
 		s.reg.Remove(entry)
+		elapsed := time.Since(start)
+		root := queryTrace(elapsed, queued, hit, 0, nil)
+		root.SetAttr("error", err.Error())
 		if entry.Killed() {
+			root.SetAttr("killed", "true")
 			s.metrics.aborted.Add(1)
 		} else {
-			s.metrics.observe(nil, 0, time.Since(start), err)
+			s.metrics.observe(nil, 0, elapsed, err)
 		}
+		s.recordTrace(id, display, start, elapsed, root, err)
 		cancel()
 		return nil, err
 	}
@@ -687,8 +602,10 @@ func (ss *servedSource) Metrics() *windowdb.QueryMetrics { return ss.meta }
 
 func (ss *servedSource) finish(err error) {
 	ss.once.Do(func() {
-		ss.svc.gov.release()
+		// Drop the in-flight gauge before the slot: the next admitted
+		// query raises it again, so the gauge never exceeds the slots.
 		ss.svc.metrics.endExec()
+		ss.svc.gov.release()
 		ss.svc.reg.Remove(ss.entry)
 		killed := ss.entry.Killed()
 		elapsed := time.Since(ss.start)
@@ -706,9 +623,11 @@ func (ss *servedSource) finish(err error) {
 		meta.TraceID, meta.Trace = ss.traceID, root
 		ss.meta = meta
 		switch {
-		case killed:
-			// The kill switch fired: an operator abort, not an engine
-			// failure — no latency sample either way.
+		case killed, errors.Is(err, context.Canceled):
+			// The kill switch fired, or the consumer went away — a client
+			// disconnect can surface as its request context ending before
+			// a write fails. An abort either way, not an engine failure,
+			// and no latency sample.
 			ss.svc.metrics.aborted.Add(1)
 		case err != nil:
 			ss.svc.metrics.observe(nil, 0, elapsed, err)

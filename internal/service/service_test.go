@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,6 +211,40 @@ func TestQueryDeadline(t *testing.T) {
 	_, err := svc.Query(ctx, mixQ1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want DeadlineExceeded", err)
+	}
+}
+
+// TestQueryDeadlineRecordsTrace: a query whose deadline expires during the
+// chain still leaves its trace — a ring entry carrying the error and a
+// slow-query log line — whether it was asked for buffered or streamed.
+func TestQueryDeadlineRecordsTrace(t *testing.T) {
+	var slow bytes.Buffer
+	svc := newTestService(t, Config{TraceRing: 16, SlowLogThreshold: time.Nanosecond, SlowLogWriter: &slow, SlowLogRate: -1}, 20_000)
+	const twoSteps = `SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_time_sk) AS a, rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_date_sk) AS b FROM web_sales`
+	runs := map[string]func(context.Context) error{
+		"buffered": func(ctx context.Context) error { _, err := svc.Query(ctx, twoSteps); return err },
+		"streamed": func(ctx context.Context) error { _, err := svc.QueryContext(ctx, twoSteps); return err },
+	}
+	for name, run := range runs {
+		before := svc.Traces().Len()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+		err := run(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err=%v, want DeadlineExceeded", name, err)
+		}
+		if svc.Traces().Len() != before+1 {
+			t.Fatalf("%s: ring holds %d traces, want %d", name, svc.Traces().Len(), before+1)
+		}
+		if tr := svc.Traces().Recent(1)[0]; !strings.Contains(tr.Error, "deadline exceeded") {
+			t.Fatalf("%s: trace error %q, want the deadline", name, tr.Error)
+		}
+	}
+	if n := strings.Count(slow.String(), `"kind":"slow_query"`); n != 2 {
+		t.Fatalf("%d slow-query lines, want 2:\n%s", n, slow.String())
+	}
+	if st := svc.Stats(); st.InFlight != 0 || st.LiveQueries != 0 {
+		t.Fatalf("in_flight=%d live=%d after failed queries, want 0/0", st.InFlight, st.LiveQueries)
 	}
 }
 

@@ -370,8 +370,8 @@ func (s *Service) RunShuffleStep(ctx context.Context, req ShuffleRunRequest, sen
 	}
 	s.metrics.beginExec()
 	defer func() {
-		s.gov.release()
 		s.metrics.endExec()
+		s.gov.release()
 	}()
 	s.metrics.shuffleRounds.Add(1)
 	live.RaiseMemPeak(1)

@@ -120,8 +120,8 @@ func (s *Service) handleShuffleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShuffleRunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+	if status, err := DecodeStatementBody(w, r, &req); err != nil {
+		writeError(w, status, "request", fmt.Errorf("service: %w", err))
 		return
 	}
 	// The trace ID rides in the request body on this route; fall back to
@@ -324,8 +324,8 @@ func (s *Service) handleShuffleDrop(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ShuffleID string `json:"shuffle_id"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "request", fmt.Errorf("service: bad request body: %w", err))
+	if status, err := DecodeStatementBody(w, r, &req); err != nil {
+		writeError(w, status, "request", fmt.Errorf("service: %w", err))
 		return
 	}
 	if req.ShuffleID == "" {

@@ -291,56 +291,19 @@ func (s *Service) sharedSegment(ctx context.Context, prep *sql.Prepared, shipped
 	return seg, disp, nil
 }
 
-// execPrepared is the buffered execution body behind serve(): shared when
-// the subplan cache yields a segment, private otherwise. The disposition
-// rides home in Result.SharedScan.
-func (s *Service) execPrepared(ctx context.Context, prep *sql.Prepared, shippedFP string, shardLocal bool) (*sql.Result, error) {
-	seg, disp, err := s.sharedSegment(ctx, prep, shippedFP)
-	if err != nil {
-		return nil, err
-	}
-	if seg != nil {
-		var res *sql.Result
-		if shardLocal {
-			res, err = prep.ExecuteSharedShardContext(ctx, seg, disp == dispMiss)
-		} else {
-			res, err = prep.ExecuteSharedContext(ctx, seg, disp == dispMiss)
-		}
-		if err != nil {
-			return nil, err
-		}
-		res.SharedScan = disp
-		return res, nil
-	}
-	if shardLocal {
-		return prep.ExecuteShardContext(ctx)
-	}
-	return prep.ExecuteContext(ctx)
-}
-
-// openStream is execPrepared's cursor sibling, behind stream(): the
-// disposition is stamped on the cursor's meta so it reaches the trace,
-// the trailer and EXPLAIN ANALYZE.
+// openStream opens prep's cursor behind stream(): over a shared segment
+// when the subplan cache yields one, privately otherwise. The disposition
+// is stamped on the cursor's meta so it reaches the trace, the trailer and
+// EXPLAIN ANALYZE.
 func (s *Service) openStream(ctx context.Context, prep *sql.Prepared, shippedFP string, shardLocal bool) (execCursor, error) {
 	seg, disp, err := s.sharedSegment(ctx, prep, shippedFP)
 	if err != nil {
 		return nil, err
 	}
-	if seg != nil {
-		var cur *sql.Cursor
-		if shardLocal {
-			cur, err = prep.StreamSharedShardContext(ctx, seg, disp == dispMiss)
-		} else {
-			cur, err = prep.StreamSharedContext(ctx, seg, disp == dispMiss)
-		}
-		if err != nil {
-			return nil, err
-		}
-		cur.Meta().SharedScan = disp
-		return cur, nil
+	cur, err := prep.Open(ctx, sql.Input{Shared: seg, ChargeScan: disp == dispMiss, ShardLocal: shardLocal})
+	if err != nil {
+		return nil, err
 	}
-	if shardLocal {
-		return prep.StreamShardContext(ctx)
-	}
-	return prep.StreamContext(ctx)
+	cur.Meta().SharedScan = disp
+	return cur, nil
 }

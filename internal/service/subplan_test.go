@@ -113,6 +113,9 @@ func TestSubplanLattice(t *testing.T) {
 	if fine.SharedScan != dispMiss {
 		t.Fatalf("first query disposition %q, want miss", fine.SharedScan)
 	}
+	if fine.EstRows != 3000 {
+		t.Fatalf("est_rows %d, want the table's 3000", fine.EstRows)
+	}
 	for _, q := range []string{shareQMid, shareQCoarse} {
 		got, err := svc.Query(ctx, q)
 		if err != nil {

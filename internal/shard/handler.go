@@ -173,8 +173,8 @@ func (c *Cluster) handleQuery(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		req.SQL = r.URL.Query().Get("q")
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("shard: bad request body: %v", err), Kind: "request"})
+		if status, err := service.DecodeStatementBody(w, r, &req); err != nil {
+			writeJSON(w, status, errorResponse{Error: "shard: " + err.Error(), Kind: "request"})
 			return
 		}
 	default:

@@ -171,6 +171,24 @@ func TestCoordinatorHandler(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown table: %s", resp.Status)
 	}
+
+	// A statement body past the bound is a 413 that registers nothing.
+	huge := `{"sql": "` + strings.Repeat("x", service.MaxStatementBytes) + `"}`
+	resp, err = front.Client().Post(front.URL+"/query", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var er struct{ Kind string }
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Kind != "request" {
+		t.Fatalf("oversized body: %s kind %q, want 413 request", resp.Status, er.Kind)
+	}
+	if n, g := c.Registry().Len(), c.GatherInFlight(); n != 0 || g != 0 {
+		t.Fatalf("oversized body left %d registry entries, %d gather slots", n, g)
+	}
 }
 
 // TestMixedTopologyShuffleFallback: a cluster mixing in-process and HTTP

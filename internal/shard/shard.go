@@ -694,11 +694,11 @@ func (c *Cluster) streamQuery(ctx context.Context, src string, cancel context.Ca
 	}
 }
 
-// openStreams opens n row streams concurrently through open (the nodes
-// execute their chains in parallel exactly as the buffered scatter did).
-// The first open failure cancels and closes the others; cancellation
-// noise is stripped from the reported error as in eachShard. The returned
-// cancel stops every stream and must be called when the merge finishes.
+// openStreams opens n row streams concurrently through open, so the nodes
+// execute their chains in parallel. The first open failure cancels and
+// closes the others; cancellation noise is stripped from the reported
+// error as in eachShard. The returned cancel stops every stream and must
+// be called when the merge finishes.
 func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.Context, i int) (RowStream, error)) ([]RowStream, context.CancelFunc, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	streams := make([]RowStream, n)
@@ -745,7 +745,7 @@ func (c *Cluster) openStreams(ctx context.Context, n int, open func(ctx context.
 func (c *Cluster) streamScatter(ctx context.Context, src string, prep *sql.Prepared, hit bool, cancel context.CancelFunc, start time.Time, qt *clusterTrace) (*windowdb.Rows, error) {
 	c.scatter.Add(1)
 	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeLocal), Stream: true,
+		SQL: src, Mode: string(ModeLocal),
 		Fingerprint: prep.Fingerprint(),
 		SubplanFP:   prep.SubplanFingerprint(),
 	}
@@ -827,7 +827,7 @@ func (c *Cluster) streamReplica(ctx context.Context, src string, prep *sql.Prepa
 	c.replica.Add(1)
 	node := int(c.rr.Add(1)-1) % len(c.shards)
 	req := service.ShardQueryRequest{
-		SQL: src, Mode: string(ModeFull), Stream: true,
+		SQL: src, Mode: string(ModeFull),
 		Fingerprint: prep.Fingerprint(),
 	}
 	streams, streamCancel, err := c.openStreams(ctx, 1, func(ctx context.Context, _ int) (RowStream, error) {
@@ -961,7 +961,7 @@ func (c *Cluster) streamShuffle(ctx context.Context, src string, prep *sql.Prepa
 
 	qt.live().SetPhase(fmt.Sprintf("segment %d of %d", sp.Segments(), sp.Segments()))
 	freq := service.ShardQueryRequest{
-		SQL: src, Mode: "segment", Stream: true, Plan: sp,
+		SQL: src, Mode: "segment", Plan: sp,
 		Fingerprint: prep.Fingerprint(),
 		ShuffleID:   id, Round: len(stages) - 1, Senders: n,
 	}
@@ -1089,7 +1089,7 @@ func (c *Cluster) streamGather(ctx context.Context, prep *sql.Prepared, info *ta
 		qt.rounds = append(qt.rounds, fetch)
 	}
 	qt.live().SetPhase("executing")
-	cur, err := prep.StreamOverContext(ctx, gathered)
+	cur, err := prep.Open(ctx, sql.Input{Table: gathered})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"errors"
 	"io"
 
 	"repro/internal/storage"
@@ -10,13 +11,13 @@ import (
 // Cursor is the pull seam over a prepared statement's execution: an
 // incremental iterator over the statement's output rows. The phases that
 // inherently materialize — WHERE filtering and the window chain's
-// reordering operators — run eagerly when the cursor is built, exactly as
-// in ExecuteContext; what the cursor defers is everything after the final
-// chain segment. For statements without DISTINCT or ORDER BY the
-// projection runs lazily, one row per Next, honoring LIMIT by early
-// termination and the context at a fixed row stride; statements that need
-// a finalize pass (DISTINCT deduplication, the final sort) project and
-// finalize eagerly and then stream the finalized buffer.
+// reordering operators — run eagerly when the cursor is built (Open);
+// what the cursor defers is everything after the final chain segment.
+// For statements without DISTINCT or ORDER BY the projection runs lazily,
+// one row per Next, honoring LIMIT by early termination and the context
+// at a fixed row stride; statements that need a finalize pass (DISTINCT
+// deduplication, the final sort) project and finalize eagerly and then
+// stream the finalized buffer.
 //
 // A Cursor is single-consumer and not safe for concurrent use; a Prepared
 // may serve any number of concurrent cursors.
@@ -91,49 +92,76 @@ func (c *Cursor) Close() error {
 	return nil
 }
 
-// StreamContext runs the prepared query and returns a Cursor over its
-// output: the streaming sibling of ExecuteContext.
-func (p *Prepared) StreamContext(ctx context.Context) (*Cursor, error) {
-	return p.stream(ctx, p.entry.Table(), true)
+// Input selects what one execution of a prepared statement reads and how
+// much of the statement it runs. The zero value runs the whole statement
+// over the catalog entry's rows.
+type Input struct {
+	// Table, when set, replaces the catalog entry's rows. It must share the
+	// entry's schema: a scatter-gather coordinator executes a plan
+	// prepared against a schema-only stub over rows just gathered from the
+	// shards. The gathered concatenation arrives in arbitrary order, which
+	// is exactly the Unordered input property the plan was built from, so
+	// the chain's first order-rebuilding reorder (FS/HS) absorbs it.
+	Table *storage.Table
+	// Shared, when set, is a materialized scan+reorder subplan
+	// (subplan.go): the execution runs only the statement's derivation
+	// suffix over it. ChargeScan merges the segment's scan metrics into
+	// this execution's, set by the execution that actually ran the scan.
+	Shared     *SharedSegment
+	ChargeScan bool
+	// ShardLocal runs only the shard-local part of the statement: WHERE,
+	// the window chain and projection. DISTINCT, ORDER BY and LIMIT are
+	// skipped; only a coordinator can apply them correctly over the
+	// concatenation of every shard's output (FinalizeConcat). Meaningful
+	// only once the caller established Prepared.ShardLocal for the
+	// cluster's shard key.
+	ShardLocal bool
 }
 
-// StreamShardContext streams the shard-local part of the statement (WHERE,
-// chain, projection — no DISTINCT/ORDER BY/LIMIT): the streaming sibling
-// of ExecuteShardContext. Because the shard-local part never finalizes,
-// this path always projects lazily — the seam a shard node streams its
-// scatter response through.
-func (p *Prepared) StreamShardContext(ctx context.Context) (*Cursor, error) {
-	return p.stream(ctx, p.entry.Table(), false)
-}
-
-// StreamOverContext streams the full prepared pipeline over base instead
-// of the catalog entry's rows: the streaming sibling of
-// ExecuteOverContext (the coordinator's gather path).
-func (p *Prepared) StreamOverContext(ctx context.Context, base *storage.Table) (*Cursor, error) {
-	return p.stream(ctx, base, true)
-}
-
-func (p *Prepared) stream(ctx context.Context, base *storage.Table, finalize bool) (*Cursor, error) {
-	executed, result, err := p.runChain(ctx, base)
+// Open executes the prepared statement over in and returns a cursor over
+// its output: the single execution entry point. WHERE filtering and the
+// window chain run before Open returns (honoring ctx at step
+// boundaries); the cursor defers the rest as its type comment describes.
+// Open is safe for concurrent use on one Prepared.
+func (p *Prepared) Open(ctx context.Context, in Input) (*Cursor, error) {
+	var (
+		executed *storage.Table
+		result   *Result
+		err      error
+	)
+	switch {
+	case in.Shared != nil && in.Table != nil:
+		return nil, errors.New("sql: an execution reads a table or a shared segment, not both")
+	case in.Shared != nil:
+		executed, result, err = p.runSuffix(ctx, in.Shared, in.ChargeScan)
+	case in.Table != nil:
+		executed, result, err = p.runChain(ctx, in.Table)
+	default:
+		executed, result, err = p.runChain(ctx, p.entry.Table())
+	}
 	if err != nil {
 		return nil, err
 	}
-	if finalize && (p.q.Distinct || len(p.orderKey) > 0) {
+	cur := &Cursor{cols: p.outCols, src: executed.Rows, pick: p.pick, meta: result, ctx: ctx, limit: -1}
+	switch {
+	case in.ShardLocal:
+		// DISTINCT, ORDER BY and LIMIT are the coordinator's.
+	case p.q.Distinct || len(p.orderKey) > 0:
 		// DISTINCT and ORDER BY need every projected row before the first
 		// output row is known; project and finalize eagerly (LIMIT
 		// included) and stream the finalized buffer.
 		out := p.project(executed)
 		p.finalize(out, result)
-		return &Cursor{cols: p.outCols, src: out.Rows, meta: result, ctx: ctx, limit: -1}, nil
+		cur.src, cur.pick = out.Rows, nil
+	default:
+		cur.limit = p.q.Limit
 	}
-	limit := int64(-1)
-	if finalize {
-		limit = p.q.Limit
-	}
-	return &Cursor{
-		cols: p.outCols, src: executed.Rows, pick: p.pick,
-		meta: result, ctx: ctx, limit: limit,
-	}, nil
+	return cur, nil
+}
+
+// StreamContext is Open over the catalog entry's rows.
+func (p *Prepared) StreamContext(ctx context.Context) (*Cursor, error) {
+	return p.Open(ctx, Input{})
 }
 
 // TableCursor wraps an already-materialized result as a Cursor, for

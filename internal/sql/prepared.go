@@ -19,7 +19,7 @@ import (
 // the data: parse, table lookup, window binding, CSO (or baseline)
 // planning, projection and ORDER BY resolution, and WHERE validation. What
 // remains — filtering, chain execution, projection, DISTINCT, the final
-// sort — happens in ExecuteContext, which may be called many times and
+// sort — happens in Open (cursor.go), which may be called many times and
 // concurrently: a Prepared is immutable after Prepare, and every execution
 // builds its own spill stores and row buffers. This is the plan-once /
 // execute-many seam the serving layer's plan cache stores.
@@ -127,12 +127,6 @@ func Fingerprint(src string) string {
 	return string(out[:])
 }
 
-// Distinct reports whether the statement carries SELECT DISTINCT.
-func (p *Prepared) Distinct() bool { return p.q.Distinct }
-
-// HasOrderBy reports whether the statement carries a final ORDER BY.
-func (p *Prepared) HasOrderBy() bool { return len(p.orderKey) > 0 }
-
 // Limit returns the statement's LIMIT, -1 when absent.
 func (p *Prepared) Limit() int64 { return p.q.Limit }
 
@@ -157,11 +151,6 @@ func (r *Runner) Prepare(src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.prepare(q, src)
-}
-
-// prepare performs every data-independent phase on a parsed query.
-func (r *Runner) prepare(q *Query, src string) (*Prepared, error) {
 	gen := r.Catalog.Generation()
 	entry, err := r.Catalog.Lookup(q.Table)
 	if err != nil {
@@ -331,44 +320,9 @@ func shareableChain(plan *core.Plan) bool {
 	return true
 }
 
-// Execute runs the prepared query without a deadline.
-func (p *Prepared) Execute() (*Result, error) {
-	return p.ExecuteContext(context.Background())
-}
-
-// ExecuteContext runs the prepared query's data-dependent phases: WHERE
-// filtering, chain execution (honoring ctx at step boundaries), projection,
-// DISTINCT, the final ORDER BY and LIMIT. It is safe for concurrent use on
-// one Prepared.
-func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	return p.execute(ctx, p.entry.Table(), true)
-}
-
-// ExecuteOverContext runs the full prepared pipeline over base instead of
-// the catalog entry's rows. base must share the entry's schema; it is how
-// a scatter-gather coordinator executes a plan prepared against a
-// schema-only stub over rows just gathered from the shards — the gathered
-// concatenation arrives in arbitrary order, which is exactly the
-// Unordered input property the plan was built from, so the chain's first
-// order-rebuilding reorder (FS/HS) absorbs it, mirroring how post-barrier
-// segments restart in exec.ParallelRun.
-func (p *Prepared) ExecuteOverContext(ctx context.Context, base *storage.Table) (*Result, error) {
-	return p.execute(ctx, base, true)
-}
-
-// ExecuteShardContext runs the shard-local part of the statement over the
-// catalog entry's rows: WHERE, the window chain and projection — skipping
-// DISTINCT, ORDER BY and LIMIT, which only the coordinator can apply
-// correctly over the concatenation of every shard's output
-// (FinalizeConcat). Only meaningful when the caller established
-// ShardLocal for the cluster's shard key.
-func (p *Prepared) ExecuteShardContext(ctx context.Context) (*Result, error) {
-	return p.execute(ctx, p.entry.Table(), false)
-}
-
 // FinalizeConcat applies the coordinator-side phases — DISTINCT, the final
 // ORDER BY and LIMIT — to the concatenation of shard-local outputs
-// (ExecuteShardContext results appended in shard-index order). The
+// (Input.ShardLocal cursors drained in shard-index order). The
 // concatenation voids any ordering the per-shard chains produced, so an
 // ORDER BY is always satisfied by a full sort, exactly as after a
 // partition-concatenating parallel chain. t is finalized in place and
@@ -389,26 +343,6 @@ func (p *Prepared) FinalizeConcat(t *storage.Table) *Result {
 		t.Rows = t.Rows[:p.q.Limit]
 	}
 	return result
-}
-
-// execute is the shared eager execution body: WHERE, chain, projection,
-// and — when finalize is set — DISTINCT, ORDER BY and LIMIT. The streaming
-// surface (StreamContext and friends, cursor.go) composes the same three
-// phases but defers the projection to pull time when the statement needs
-// no finalize pass.
-func (p *Prepared) execute(ctx context.Context, base *storage.Table, finalize bool) (*Result, error) {
-	executed, result, err := p.runChain(ctx, base)
-	if err != nil {
-		return nil, err
-	}
-	outTable := p.project(executed)
-	result.Table = outTable
-	if finalize {
-		// Shard-local execution skips this: DISTINCT, ORDER BY and LIMIT
-		// are the coordinator's to apply over the concatenation.
-		p.finalize(outTable, result)
-	}
-	return result, nil
 }
 
 // runChain runs the data-dependent phases up to (and including) the window

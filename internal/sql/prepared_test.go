@@ -55,9 +55,9 @@ func TestErrorClasses(t *testing.T) {
 	}
 }
 
-// TestPreparedMatchesQuery: preparing once and executing equals the
-// one-shot path on every result field, including Section 5's sort
-// disposition, for queries with and without windows.
+// TestPreparedMatchesQuery: preparing once and opening repeatedly equals
+// a fresh prepare-and-open on every result field, including Section 5's
+// sort disposition, for queries with and without windows.
 func TestPreparedMatchesQuery(t *testing.T) {
 	r := testRunner(t)
 	queries := []string{
@@ -66,7 +66,7 @@ func TestPreparedMatchesQuery(t *testing.T) {
 		`SELECT DISTINCT dept FROM emptab WHERE salary > 40 ORDER BY dept LIMIT 2`,
 	}
 	for _, src := range queries {
-		want, err := r.Query(src)
+		want, err := drainQuery(r, src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
@@ -75,7 +75,7 @@ func TestPreparedMatchesQuery(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 		for rep := 0; rep < 3; rep++ {
-			got, err := p.Execute()
+			got, err := drain(context.Background(), p, Input{})
 			if err != nil {
 				t.Fatalf("%s rep %d: %v", src, rep, err)
 			}
@@ -110,7 +110,7 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	if p.Generation() != gen {
 		t.Fatalf("prepared generation %d, catalog at %d", p.Generation(), gen)
 	}
-	res, err := p.Execute()
+	res, err := drain(context.Background(), p, Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	if p.Generation() == r.Catalog.Generation() {
 		t.Fatal("generation did not advance on re-registration")
 	}
-	res, err = p.Execute()
+	res, err = drain(context.Background(), p, Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +131,12 @@ func TestPreparedGenerationSnapshot(t *testing.T) {
 	}
 }
 
-// TestQueryContextCancelled: the runner's context-aware entry point
-// propagates cancellation.
+// TestQueryContextCancelled: Open propagates a cancelled context.
 func TestQueryContextCancelled(t *testing.T) {
 	r := testRunner(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.QueryContext(ctx, `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`)
+	_, err := drainQueryContext(ctx, r, `SELECT ws_item_sk, rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r FROM web_sales`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,7 +23,8 @@ const (
 	SchemePSQL Scheme = "PSQL"
 )
 
-// Runner executes window queries against a catalog.
+// Runner prepares window queries against a catalog (Prepare); each
+// prepared statement executes through Prepared.Open.
 type Runner struct {
 	Catalog *catalog.Catalog
 	// Scheme selects the plan generator (default CSO).
@@ -37,8 +37,10 @@ type Runner struct {
 	DisableSS bool
 }
 
-// Result is an executed query: the output table plus the window chain and
-// its execution metrics (nil when the query had no window functions).
+// Result is an executed query's metadata — the window chain and its
+// execution metrics (nil when the query had no window functions) — plus,
+// in buffered form, the output table. A Cursor's Meta carries it with
+// Table nil; draining the cursor fills the table.
 type Result struct {
 	Table   *storage.Table
 	Plan    *core.Plan
@@ -75,35 +77,6 @@ type Result struct {
 	// execution did not go through the shared-subplan cache. Set by the
 	// serving layer.
 	SharedScan string
-}
-
-// Query parses, plans and executes one window query block.
-func (r *Runner) Query(src string) (*Result, error) {
-	return r.QueryContext(context.Background(), src)
-}
-
-// QueryContext is Query with cancellation and deadline support: ctx is
-// threaded through the executor and checked at chain-step boundaries.
-func (r *Runner) QueryContext(ctx context.Context, src string) (*Result, error) {
-	p, err := r.Prepare(src)
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteContext(ctx)
-}
-
-// Run executes a parsed query.
-func (r *Runner) Run(q *Query) (*Result, error) {
-	return r.RunContext(context.Background(), q)
-}
-
-// RunContext prepares and executes a parsed query under ctx.
-func (r *Runner) RunContext(ctx context.Context, q *Query) (*Result, error) {
-	p, err := r.prepare(q, "")
-	if err != nil {
-		return nil, err
-	}
-	return p.ExecuteContext(ctx)
 }
 
 // resolveOutputColumn finds the first SELECT item whose visible name is

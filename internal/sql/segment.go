@@ -236,7 +236,7 @@ func (r *SegmentRunner) Run(ctx context.Context, seg int, in *storage.Table) (*s
 // StreamFinal executes the last segment over in and returns a cursor over
 // the projected output — no DISTINCT, ORDER BY or LIMIT, which only the
 // coordinator can apply over the concatenation of every node's stream
-// (FinalizeConcat), exactly as StreamShardContext leaves them to it.
+// (FinalizeConcat), exactly as an Input.ShardLocal Open leaves them to it.
 func (r *SegmentRunner) StreamFinal(ctx context.Context, in *storage.Table) (*Cursor, error) {
 	last := len(r.subs) - 1
 	out, m, par, err := r.p.runPlan(ctx, in, r.subs[last])

@@ -14,8 +14,8 @@ import (
 )
 
 // TestShardPhasesComposeToExecute: manually hash-partitioning the table,
-// running ExecuteShardContext per partition, concatenating and finalizing
-// must reproduce ExecuteContext exactly — the algebraic identity the
+// draining a shard-local Open per partition, concatenating and finalizing
+// must reproduce the full-statement Open exactly — the algebraic identity the
 // cluster's scatter path rests on.
 func TestShardPhasesComposeToExecute(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 700, Seed: 3})
@@ -34,7 +34,7 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 	if !prep.ShardLocal(key) {
 		t.Fatal("statement should be shard-local on the item key")
 	}
-	want, err := prep.ExecuteContext(context.Background())
+	want, err := drain(context.Background(), prep, Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.ExecuteShardContext(context.Background())
+		res, err := drain(context.Background(), p, Input{ShardLocal: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,9 +77,9 @@ func TestShardPhasesComposeToExecute(t *testing.T) {
 	}
 }
 
-// TestExecuteOverContext: a plan prepared against a schema-only stub
-// executes over externally supplied rows (the gather path) and matches a
-// directly prepared execution.
+// TestExecuteOverContext: a plan prepared against a schema-only stub opens
+// over externally supplied rows (Input.Table, the gather path) and matches
+// a directly prepared execution.
 func TestExecuteOverContext(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 400, Seed: 5})
 	src := `SELECT ws_order_number, rank() OVER (ORDER BY ws_sold_time_sk) AS r FROM web_sales ORDER BY ws_order_number`
@@ -97,7 +97,7 @@ func TestExecuteOverContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prep.ExecuteOverContext(context.Background(), ws)
+	got, err := drain(context.Background(), prep, Input{Table: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestExecuteOverContext(t *testing.T) {
 	full := catalog.New()
 	full.Register("web_sales", ws)
 	rFull := Runner{Catalog: full, Exec: exec.Config{MemoryBytes: 1 << 20}}
-	want, err := rFull.Query(src)
+	want, err := drainQuery(&rFull, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestSegmentPlan(t *testing.T) {
 // cluster's shuffle route rests on: hash-partitioning the table across N
 // "nodes", running each segment per node with a re-shuffle on the
 // segment's key in between, concatenating the final segment's projected
-// streams and finalizing at a coordinator reproduces ExecuteContext
-// exactly — WHERE, DISTINCT, ORDER BY and LIMIT included.
+// streams and finalizing at a coordinator reproduces the full-statement
+// Open exactly — WHERE, DISTINCT, ORDER BY and LIMIT included.
 func TestSegmentRunnerComposesToExecute(t *testing.T) {
 	ws := datagen.WebSales(datagen.WebSalesConfig{Rows: 900, Seed: 4})
 	src := `SELECT ws_order_number, ws_warehouse_sk,
@@ -204,7 +204,7 @@ func TestSegmentRunnerComposesToExecute(t *testing.T) {
 	if sp == nil || sp.Segments() != 2 {
 		t.Fatalf("want a 2-segment plan, got %+v", sp)
 	}
-	want, err := prep.ExecuteContext(context.Background())
+	want, err := drain(context.Background(), prep, Input{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func testRunner(t *testing.T) *Runner {
 // the full sample output table.
 func TestExample1(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT empnum, dept, salary,
 		       rank() OVER (PARTITION BY dept ORDER BY salary DESC NULLS LAST) AS rank_in_dept,
 		       rank() OVER (ORDER BY salary DESC NULLS LAST) AS globalrank
@@ -79,7 +79,7 @@ func TestSchemesAgreeViaSQL(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeCSO, SchemeBFO, SchemeORCL, SchemePSQL} {
 		r := testRunner(t)
 		r.Scheme = scheme
-		res, err := r.Query(query)
+		res, err := drainQuery(r, query)
 		if err != nil {
 			t.Fatalf("%s: %v", scheme, err)
 		}
@@ -94,7 +94,7 @@ func TestSchemesAgreeViaSQL(t *testing.T) {
 
 func TestWhereAndLimit(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT empnum, salary, row_number() OVER (ORDER BY salary DESC) AS rn
 		FROM emptab
 		WHERE salary IS NOT NULL AND dept IS NOT NULL AND salary >= 55000
@@ -113,7 +113,7 @@ func TestWhereAndLimit(t *testing.T) {
 
 func TestAggregatesAndFrames(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT empnum, dept, salary,
 		       sum(salary) OVER (PARTITION BY dept ORDER BY salary
 		                         ROWS BETWEEN 1 PRECEDING AND CURRENT ROW) AS s2,
@@ -137,7 +137,7 @@ func TestAggregatesAndFrames(t *testing.T) {
 
 func TestLeadLagNtile(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT empnum,
 		       lead(salary, 1, -1) OVER (ORDER BY empnum) AS next_sal,
 		       lag(salary) OVER (ORDER BY empnum) AS prev_sal,
@@ -195,7 +195,7 @@ func TestBindErrors(t *testing.T) {
 		"SELECT * FROM emptab ORDER BY nosuch",
 	}
 	for _, src := range bad {
-		if _, err := r.Query(src); err == nil {
+		if _, err := drainQuery(r, src); err == nil {
 			t.Errorf("Query(%q) should fail", src)
 		}
 	}
@@ -204,7 +204,7 @@ func TestBindErrors(t *testing.T) {
 func TestPlanExposedMatchesScheme(t *testing.T) {
 	r := testRunner(t)
 	r.Scheme = SchemePSQL
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS a,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_bill_customer_sk) AS b
 		FROM web_sales`)
@@ -222,7 +222,7 @@ func TestPlanExposedMatchesScheme(t *testing.T) {
 
 func TestNoWindowFunctions(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query("SELECT empnum, salary FROM emptab WHERE dept = 1 ORDER BY salary DESC")
+	res, err := drainQuery(r, "SELECT empnum, salary FROM emptab WHERE dept = 1 ORDER BY salary DESC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestNoWindowFunctions(t *testing.T) {
 // SQL path against the reference evaluator.
 func TestSQLAgainstReference(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT ws_order_number,
 		       sum(ws_quantity) OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_order_number
 		                              ROWS BETWEEN 2 PRECEDING AND 1 FOLLOWING) AS s
@@ -286,7 +286,7 @@ func TestSQLAgainstReference(t *testing.T) {
 // still correctly ordered.
 func TestSection5OrderIntegration(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT ws_item_sk, ws_sold_date_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
 		       rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r2
@@ -306,7 +306,7 @@ func TestSection5OrderIntegration(t *testing.T) {
 	// The same query under PSQL pays a full final sort but agrees on rows.
 	rp := testRunner(t)
 	rp.Scheme = SchemePSQL
-	resP, err := rp.Query(`
+	resP, err := drainQuery(rp, `
 		SELECT ws_item_sk, ws_sold_date_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS r1,
 		       rank() OVER (PARTITION BY ws_warehouse_sk ORDER BY ws_sold_time_sk) AS r2
@@ -327,7 +327,7 @@ func TestSection5OrderIntegration(t *testing.T) {
 // fool the Section 5 alignment into skipping a needed sort.
 func TestAliasShadowingOrderBy(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`
+	res, err := drainQuery(r, `
 		SELECT ws_sold_date_sk AS ws_item_sk,
 		       rank() OVER (PARTITION BY ws_item_sk ORDER BY ws_sold_date_sk) AS rk
 		FROM web_sales
@@ -343,7 +343,7 @@ func TestAliasShadowingOrderBy(t *testing.T) {
 
 func TestSelectDistinct(t *testing.T) {
 	r := testRunner(t)
-	res, err := r.Query(`SELECT DISTINCT dept FROM emptab ORDER BY dept NULLS LAST`)
+	res, err := drainQuery(r, `SELECT DISTINCT dept FROM emptab ORDER BY dept NULLS LAST`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestSelectDistinct(t *testing.T) {
 		t.Fatalf("distinct depts = %d, want 4\n%s", res.Table.Len(), FormatTable(res.Table, 0))
 	}
 	// DISTINCT over a window result: each dept has 3 or 2 distinct ranks.
-	res2, err := r.Query(`
+	res2, err := drainQuery(r, `
 		SELECT DISTINCT dept, count(*) OVER (PARTITION BY dept) AS sz
 		FROM emptab ORDER BY dept NULLS LAST`)
 	if err != nil {
@@ -377,13 +377,13 @@ func TestRunnerParallelExecution(t *testing.T) {
 		FROM web_sales
 		ORDER BY ws_item_sk, ws_order_number`
 	seq := testRunner(t)
-	seqRes, err := seq.Query(query)
+	seqRes, err := drainQuery(seq, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := testRunner(t)
 	par.Exec.Parallelism = 4
-	parRes, err := par.Query(query)
+	parRes, err := drainQuery(par, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +417,13 @@ func TestRunnerParallelKeepsSortAvoidance(t *testing.T) {
 	const query = `SELECT empnum, salary, rank() OVER (ORDER BY salary DESC NULLS LAST) AS r
 		FROM emptab ORDER BY salary DESC NULLS LAST`
 	seq := testRunner(t)
-	seqRes, err := seq.Query(query)
+	seqRes, err := drainQuery(seq, query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := testRunner(t)
 	par.Exec.Parallelism = 4
-	parRes, err := par.Query(query)
+	parRes, err := drainQuery(par, query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,63 +171,6 @@ func (p *Prepared) runSuffix(ctx context.Context, seg *SharedSegment, chargeScan
 	return out, result, nil
 }
 
-// ExecuteSharedContext runs the full derivation suffix (projection,
-// DISTINCT, ORDER BY, LIMIT included) over a shared segment: the shared
-// sibling of ExecuteContext.
-func (p *Prepared) ExecuteSharedContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Result, error) {
-	return p.executeShared(ctx, seg, chargeScan, true)
-}
-
-// ExecuteSharedShardContext runs the shard-local suffix (no DISTINCT /
-// ORDER BY / LIMIT) over a shared segment: the shared sibling of
-// ExecuteShardContext.
-func (p *Prepared) ExecuteSharedShardContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Result, error) {
-	return p.executeShared(ctx, seg, chargeScan, false)
-}
-
-func (p *Prepared) executeShared(ctx context.Context, seg *SharedSegment, chargeScan, finalize bool) (*Result, error) {
-	executed, result, err := p.runSuffix(ctx, seg, chargeScan)
-	if err != nil {
-		return nil, err
-	}
-	outTable := p.project(executed)
-	result.Table = outTable
-	if finalize {
-		p.finalize(outTable, result)
-	}
-	return result, nil
-}
-
-// StreamSharedContext is the cursor form of ExecuteSharedContext.
-func (p *Prepared) StreamSharedContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Cursor, error) {
-	return p.streamShared(ctx, seg, chargeScan, true)
-}
-
-// StreamSharedShardContext is the cursor form of ExecuteSharedShardContext.
-func (p *Prepared) StreamSharedShardContext(ctx context.Context, seg *SharedSegment, chargeScan bool) (*Cursor, error) {
-	return p.streamShared(ctx, seg, chargeScan, false)
-}
-
-func (p *Prepared) streamShared(ctx context.Context, seg *SharedSegment, chargeScan, finalize bool) (*Cursor, error) {
-	executed, result, err := p.runSuffix(ctx, seg, chargeScan)
-	if err != nil {
-		return nil, err
-	}
-	if finalize && (p.q.Distinct || len(p.orderKey) > 0) {
-		out := p.project(executed)
-		p.finalize(out, result)
-		return &Cursor{cols: p.outCols, src: out.Rows, meta: result, ctx: ctx, limit: -1}, nil
-	}
-	limit := int64(-1)
-	if finalize {
-		limit = p.q.Limit
-	}
-	return &Cursor{
-		cols: p.outCols, src: executed.Rows, pick: p.pick,
-		meta: result, ctx: ctx, limit: limit,
-	}, nil
-}
-
 // canonExpr renders a predicate in canonical form — lowercased column
 // names, uppercased operators, fully parenthesized, literals normalized —
 // so two spellings of one predicate produce one subplan key. A nil

@@ -57,7 +57,7 @@ func TestSharedMatchesPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		want, err := p.ExecuteContext(ctx)
+		want, err := drain(ctx, p, Input{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -65,13 +65,13 @@ func TestSharedMatchesPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: subplan: %v", q, err)
 		}
-		got, err := p.ExecuteSharedContext(ctx, seg, true)
+		got, err := drain(ctx, p, Input{Shared: seg, ChargeScan: true})
 		if err != nil {
 			t.Fatalf("%s: shared execute: %v", q, err)
 		}
 		assertSameRows(t, q, want.Table, got.Table)
 
-		cur, err := p.StreamSharedContext(ctx, seg, false)
+		cur, err := p.Open(ctx, Input{Shared: seg})
 		if err != nil {
 			t.Fatalf("%s: shared stream: %v", q, err)
 		}
@@ -112,11 +112,11 @@ func TestLatticeAttach(t *testing.T) {
 		if !seg.Props.MatchesAll(p.WFs()) {
 			t.Fatalf("%s: fine segment %s should match", q, seg.Props)
 		}
-		want, err := p.ExecuteContext(ctx)
+		want, err := drain(ctx, p, Input{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		got, err := p.ExecuteSharedContext(ctx, seg, false)
+		got, err := drain(ctx, p, Input{Shared: seg})
 		if err != nil {
 			t.Fatalf("%s: shared: %v", q, err)
 		}
@@ -138,8 +138,11 @@ func TestLatticeAttach(t *testing.T) {
 	if cseg.Props.MatchesAll(fine.WFs()) {
 		t.Fatal("coarse segment should not match the fine statement")
 	}
-	if _, err := fine.ExecuteSharedContext(ctx, cseg, false); err == nil {
-		t.Fatal("ExecuteSharedContext over a too-coarse segment should fail")
+	if _, err := fine.Open(ctx, Input{Shared: cseg}); err == nil {
+		t.Fatal("Open over a too-coarse segment should fail")
+	}
+	if _, err := fine.Open(ctx, Input{Table: seg.Table, Shared: seg}); err == nil {
+		t.Fatal("Open over a table and a shared segment at once should fail")
 	}
 }
 

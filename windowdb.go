@@ -150,7 +150,7 @@ func (e *Engine) Register(name string, t *storage.Table) {
 // registration. Planning sees the schema, B(R), |R| and D(·) of a table
 // whose rows live on shard nodes; executing a statement prepared on a stub
 // directly reads zero rows — cluster coordinators execute through the
-// scatter (shard-local) or gather (ExecuteOverContext) paths instead.
+// scatter (shard-local) or gather (sql.Input.Table) paths instead.
 func (e *Engine) RegisterStub(name string, schema *storage.Schema, stats catalog.TableStats) {
 	e.cat.RegisterStub(name, schema, stats)
 }
@@ -206,7 +206,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	cur, err := p.StreamContext(ctx)
+	cur, err := p.Open(ctx, sql.Input{})
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ type engineStmt struct {
 
 func (s *engineStmt) QueryContext(ctx context.Context) (*Rows, error) {
 	start := time.Now()
-	cur, err := s.prep.StreamContext(ctx)
+	cur, err := s.prep.Open(ctx, sql.Input{})
 	if err != nil {
 		return nil, err
 	}
@@ -304,8 +304,9 @@ func MetaFromResult(res *sql.Result) *QueryMetrics {
 }
 
 // DrainResult consumes a Rows cursor into the materialized Result shape of
-// the original API: the table plus plan, metrics and final-sort
-// disposition. The cursor is closed when DrainResult returns.
+// the original API: the table plus every QueryMetrics field Result carries
+// (the inverse of MetaFromResult). The cursor is closed when DrainResult
+// returns.
 func DrainResult(rows *Rows) (*Result, error) {
 	defer rows.Close()
 	t := storage.NewTable(storage.NewSchema(rows.ColumnTypes()...))
@@ -322,6 +323,9 @@ func DrainResult(rows *Rows) (*Result, error) {
 		res.FinalSort = m.FinalSort
 		res.SatisfiedPrefix = m.SatisfiedPrefix
 		res.Parallelism = m.Parallelism
+		res.EstRows = m.EstRows
+		res.Watermark = m.Watermark
+		res.SharedScan = m.SharedScan
 	}
 	return res, nil
 }

@@ -33,6 +33,11 @@ func TestEngineQuery(t *testing.T) {
 	if res.Table.Rows[0][0].Int64() != 2 {
 		t.Errorf("top earner should be empnum 2, got %s", res.Table.Rows[0][0])
 	}
+	// The drained result keeps the cursor's metadata, planner estimate
+	// included.
+	if res.EstRows != 10 || res.Plan == nil || res.FinalSort == "none" {
+		t.Errorf("est_rows=%d plan=%v final_sort=%q, want 10, a plan and a sort disposition", res.EstRows, res.Plan, res.FinalSort)
+	}
 }
 
 func TestEngineEvaluateWindows(t *testing.T) {
@@ -273,7 +278,15 @@ func TestEnginePrepareReuse(t *testing.T) {
 	if p.Generation() != eng.Generation() {
 		t.Fatalf("prepared under generation %d, engine at %d", p.Generation(), eng.Generation())
 	}
-	want, err := p.Execute()
+	// run opens the one prepared statement and drains its cursor.
+	run := func() (*Result, error) {
+		cur, err := p.Open(context.Background(), sql.Input{})
+		if err != nil {
+			return nil, err
+		}
+		return DrainResult(NewRows(&cursorSource{cur: cur}))
+	}
+	want, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +296,7 @@ func TestEnginePrepareReuse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := p.ExecuteContext(context.Background())
+				res, err := run()
 				if err != nil {
 					t.Errorf("execute: %v", err)
 					return
