@@ -1,7 +1,7 @@
 # Local targets mirroring .github/workflows/ci.yml.
 GO ?= go
 
-.PHONY: build test race bench fmt fmt-check vet loc serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
+.PHONY: build test race bench bench-layers fmt fmt-check vet loc serve bench-service bench-json bench-baseline load-smoke cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,15 @@ race:
 # cmd/windbench for the full-scale sweeps.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# The row-format and sort layer benchmarks at a measuring length, three
+# runs each: key comparison, an external sort with intermediate merge
+# passes (it reports comparisons, passes and blocks per sort), the spill
+# round trip and a two-step FS chain in memory and spilling.
+LAYER_BENCHES = ^(BenchmarkCompareSeq|BenchmarkExternalSort|BenchmarkRunChain|BenchmarkSpillRoundTrip)$$
+bench-layers:
+	$(GO) test -run='^$$' -bench='$(LAYER_BENCHES)' -benchtime=5x -count=3 -benchmem \
+		./internal/storage ./internal/xsort ./internal/spill ./internal/exec
 
 fmt:
 	gofmt -l -w .

@@ -3,6 +3,7 @@ package delta
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -78,7 +79,7 @@ func checkMaintained(t *testing.T, src string, base *storage.Table, batches [][]
 			// rows are also in scan order (appends go to the end), so the
 			// value slices align positionally.
 			for pos := range got {
-				if got[pos] != want[pos] {
+				if !storage.Identical(got[pos], want[pos]) {
 					t.Errorf("batch %d wf %d row %d (rid %d): maintained %v (%s), reference %v (%s)",
 						bi, wi, pos, m.rids[pos], got[pos], got[pos].Kind(), want[pos], want[pos].Kind())
 				}
@@ -335,4 +336,36 @@ func TestMaintainRangeTies(t *testing.T) {
 		t.Errorf("ROWS tie upserted %d rows, want 0", u2.Upserted)
 	}
 	_ = window.Spec{}
+}
+
+// TestMaintainStringValuesNotSpuriouslyChanged: a recomputed string result
+// that equals the old one but comes from another row — so its bytes sit
+// at another address — is not a change. Inserting o=25 into partition 1
+// leaves MAX(s) at "delta" (now possibly the new row's copy) and moves
+// o=30's LAG source from o=20 to o=25, both "delta": no upserts. A later
+// "zulu" row does change MAX for every old row of the partition.
+func TestMaintainStringValuesNotSpuriouslyChanged(t *testing.T) {
+	row := func(k, o int64, s string) storage.Tuple {
+		return storage.Tuple{storage.Int(k), storage.Int(o), storage.StringVal(s)}
+	}
+	base := storage.NewTable(storage.NewSchema(
+		storage.Column{Name: "k", Type: storage.TypeInt},
+		storage.Column{Name: "o", Type: storage.TypeInt},
+		storage.Column{Name: "s", Type: storage.TypeString},
+	))
+	for _, r := range []storage.Tuple{row(1, 10, "bravo"), row(1, 20, "delta"), row(1, 30, "charlie"), row(2, 5, "alpha")} {
+		base.MustAppend(r)
+	}
+	const src = "SELECT o, max(s) OVER (PARTITION BY k), lag(s) OVER (PARTITION BY k ORDER BY o), first_value(s) OVER (PARTITION BY k ORDER BY o) FROM t"
+	fresh := strings.Clone("delta")
+	u := checkMaintained(t, src, base, [][]storage.Tuple{{row(1, 25, fresh)}})
+	if u.Upserted != 0 || u.Appended != 1 {
+		t.Errorf("equal string results: %d upserts, %d appends; want 0, 1", u.Upserted, u.Appended)
+	}
+	u = checkMaintained(t, src, base, [][]storage.Tuple{{row(1, 25, fresh)}, {row(1, 40, "zulu")}})
+	// MAX becomes "zulu" for o=10, 20, 25 and 30; LAG and FIRST_VALUE of
+	// the old rows stay put.
+	if u.Upserted != 4 || u.Appended != 1 {
+		t.Errorf("changed MAX: %d upserts, %d appends; want 4, 1", u.Upserted, u.Appended)
+	}
 }

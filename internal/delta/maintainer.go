@@ -472,7 +472,7 @@ func (m *Maintainer) recomputePartition(wf *wfState, ps *partState, changed map[
 		return err
 	}
 	for i, pos := range ps.positions {
-		if changed != nil && pos < oldLimit && vals[i] != wf.vals[pos] {
+		if changed != nil && pos < oldLimit && !storage.Identical(vals[i], wf.vals[pos]) {
 			changed[pos] = true
 		}
 		wf.vals[pos] = vals[i]

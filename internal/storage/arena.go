@@ -57,7 +57,7 @@ func (a *Arena) Decode(buf []byte) (Tuple, int, error) {
 	}
 	base := len(a.vals)
 	t := Tuple(a.vals[base : base+ncols : base+need])
-	if pos, err = decodeValues(buf, pos, t, a); err != nil {
+	if pos, err = decodeValues(buf, pos, t, a, false); err != nil {
 		a.pending = 0
 		return nil, 0, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The binary tuple codec used by the spill paths. Layout per tuple:
@@ -30,14 +31,12 @@ func AppendTuple(dst []byte, t Tuple) []byte {
 		switch v.kind {
 		case KindNull:
 		case KindInt:
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, int64(v.x))
 		case KindFloat:
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-			dst = append(dst, buf[:]...)
+			dst = binary.LittleEndian.AppendUint64(dst, v.x)
 		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
-			dst = append(dst, v.s...)
+			dst = binary.AppendUvarint(dst, v.x)
+			dst = append(dst, v.str()...)
 		}
 	}
 	return dst
@@ -50,11 +49,11 @@ func EncodedSize(t Tuple) int {
 		n++ // kind byte
 		switch v.kind {
 		case KindInt:
-			n += varintLen(v.i)
+			n += varintLen(int64(v.x))
 		case KindFloat:
 			n += 8
 		case KindString:
-			n += uvarintLen(uint64(len(v.s))) + len(v.s)
+			n += uvarintLen(v.x) + int(v.x)
 		}
 	}
 	return n
@@ -62,14 +61,34 @@ func EncodedSize(t Tuple) int {
 
 // DecodeTuple decodes one tuple from buf, returning the tuple and the number
 // of bytes consumed. The tuple and its strings are freshly allocated; the
-// spill readers decode through an Arena instead.
+// spill readers decode through an Arena or as a view instead.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
 	ncols, pos, err := decodeHeader(buf)
 	if err != nil {
 		return nil, 0, err
 	}
 	t := make(Tuple, ncols)
-	if pos, err = decodeValues(buf, pos, t, nil); err != nil {
+	if pos, err = decodeValues(buf, pos, t, nil, false); err != nil {
+		return nil, 0, err
+	}
+	return t, pos, nil
+}
+
+// DecodeView decodes one tuple from buf into dst's backing array, growing
+// it only when it is too short, and returns the tuple with the number of
+// bytes consumed. Its strings view buf rather than copy it: the tuple is
+// valid only until buf or dst is next written, so a caller that keeps it
+// must decode through an Arena instead.
+func DecodeView(buf []byte, dst Tuple) (Tuple, int, error) {
+	ncols, pos, err := decodeHeader(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cap(dst) < ncols {
+		dst = make(Tuple, ncols)
+	}
+	t := dst[:ncols]
+	if pos, err = decodeValues(buf, pos, t, nil, true); err != nil {
 		return nil, 0, err
 	}
 	return t, pos, nil
@@ -88,9 +107,9 @@ func decodeHeader(buf []byte) (int, int, error) {
 }
 
 // decodeValues fills t from buf starting at pos and returns the position
-// after the last value. Strings are copied into a's byte slab when a is
-// non-nil and into fresh allocations otherwise.
-func decodeValues(buf []byte, pos int, t Tuple, a *Arena) (int, error) {
+// after the last value. Strings view buf when view is set, are copied into
+// a's byte slab when a is non-nil, and into fresh allocations otherwise.
+func decodeValues(buf []byte, pos int, t Tuple, a *Arena, view bool) (int, error) {
 	for i := range t {
 		if pos >= len(buf) {
 			return 0, ErrCorrupt
@@ -123,9 +142,12 @@ func decodeValues(buf []byte, pos int, t Tuple, a *Arena) (int, error) {
 				return 0, ErrCorrupt
 			}
 			b := buf[pos : pos+int(l)]
-			if a != nil {
+			switch {
+			case view:
+				t[i] = StringVal(unsafe.String(unsafe.SliceData(b), len(b)))
+			case a != nil:
 				t[i] = StringVal(a.string(b))
-			} else {
+			default:
 				t[i] = StringVal(string(b))
 			}
 			pos += int(l)

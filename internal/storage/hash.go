@@ -1,10 +1,5 @@
 package storage
 
-import (
-	"encoding/binary"
-	"math"
-)
-
 // Streaming FNV-1a over the AppendTuple byte sequence, without building
 // the buffer. The partitioning hash of the parallel and sharded executors
 // is defined as FNV-1a over the concatenated single-value tuple encodings
@@ -36,21 +31,20 @@ func HashValueFNV(h uint64, v Value) uint64 {
 	h = fnvByte(h, byte(v.kind))
 	switch v.kind {
 	case KindInt:
-		uv := uint64(v.i) << 1
-		if v.i < 0 {
+		uv := v.x << 1
+		if int64(v.x) < 0 {
 			uv = ^uv
 		}
 		h = fnvUvarint(h, uv)
 	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		for _, b := range buf {
-			h = fnvByte(h, b)
+		for i := 0; i < 8; i++ { // little-endian float bits
+			h = fnvByte(h, byte(v.x>>(8*i)))
 		}
 	case KindString:
-		h = fnvUvarint(h, uint64(len(v.s)))
-		for i := 0; i < len(v.s); i++ {
-			h = fnvByte(h, v.s[i])
+		h = fnvUvarint(h, v.x)
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
 		}
 	}
 	return h

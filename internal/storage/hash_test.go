@@ -63,7 +63,7 @@ func TestExtendInPlace(t *testing.T) {
 	if &ext[0] != &row[0] {
 		t.Fatalf("Extend with spare capacity reallocated")
 	}
-	if arena[2] != Int(3) {
+	if !Identical(arena[2], Int(3)) {
 		t.Fatalf("Extend did not land in the arena slot: %v", arena[2])
 	}
 
@@ -72,7 +72,7 @@ func TestExtendInPlace(t *testing.T) {
 	if len(exact) != 2 || cap(exact) < 2 {
 		t.Fatalf("receiver mutated: %v", exact)
 	}
-	if len(ext2) != 3 || ext2[2] != Int(3) {
+	if len(ext2) != 3 || !Identical(ext2[2], Int(3)) {
 		t.Fatalf("Extend without capacity = %v", ext2)
 	}
 }

@@ -5,7 +5,10 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the supported value types.
@@ -39,24 +42,33 @@ func (k Kind) String() string {
 }
 
 // Value is a single column value. The zero Value is SQL NULL.
+//
+// A Value is 24 bytes: x holds the int64 bits, the float64 bits or the
+// string length, and p is the string's data pointer — nil for every other
+// kind, so the collector has nothing to follow in a numeric value. Values
+// are not comparable with == (the leading zero-size func field makes that
+// a compile error): two equal strings may sit at different addresses, so
+// compare with Identical, Equal or Compare.
 type Value struct {
+	_    [0]func()
+	p    *byte
+	x    uint64
 	kind Kind
-	i    int64
-	f    float64
-	s    string
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // Int wraps an int64.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, x: uint64(v)} }
 
 // Float wraps a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, x: math.Float64bits(v)} }
 
-// String wraps a string.
-func StringVal(v string) Value { return Value{kind: KindString, s: v} }
+// StringVal wraps a string. The value shares the string's bytes.
+func StringVal(v string) Value {
+	return Value{kind: KindString, p: unsafe.StringData(v), x: uint64(len(v))}
+}
 
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -69,16 +81,16 @@ func (v Value) Int64() int64 {
 	if v.kind != KindInt {
 		panic("storage: Int64 on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.x)
 }
 
 // Float64 returns the float payload, widening integers.
 func (v Value) Float64() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(v.x)
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.x))
 	}
 	panic("storage: Float64 on " + v.kind.String())
 }
@@ -88,8 +100,11 @@ func (v Value) Str() string {
 	if v.kind != KindString {
 		panic("storage: Str on " + v.kind.String())
 	}
-	return v.s
+	return v.str()
 }
+
+// str is the string payload of a KindString value.
+func (v Value) str() string { return unsafe.String(v.p, int(v.x)) }
 
 // String renders the value for display. NULL renders as "-" matching the
 // paper's sample output in Example 1.
@@ -98,11 +113,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "-"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.x), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.x), 'g', -1, 64)
 	case KindString:
-		return v.s
+		return v.str()
 	default:
 		return "?"
 	}
@@ -135,10 +150,11 @@ func Compare(v, w Value) int {
 	}
 	if numericKind(v.kind) && numericKind(w.kind) {
 		if v.kind == KindInt && w.kind == KindInt {
+			a, b := int64(v.x), int64(w.x)
 			switch {
-			case v.i < w.i:
+			case a < b:
 				return -1
-			case v.i > w.i:
+			case a > b:
 				return 1
 			default:
 				return 0
@@ -161,26 +177,35 @@ func Compare(v, w Value) int {
 		return 1
 	}
 	// Both strings.
-	switch {
-	case v.s < w.s:
-		return -1
-	case v.s > w.s:
-		return 1
-	default:
-		return 0
-	}
+	return strings.Compare(v.str(), w.str())
 }
 
-// Equal reports deep value equality (NULL equals NULL).
+// Equal reports deep value equality (NULL equals NULL). Int(1) equals
+// Float(1): Equal is Compare's equality.
 func Equal(v, w Value) bool { return Compare(v, w) == 0 }
 
+// Identical reports whether v and w have the same kind and compare equal:
+// the kind-strict equality, where Equal lets Int(1) equal Float(1).
+// Strings compare by content, not address. Compare ranks NaN equal to
+// every float, so Identical also requires both or neither to be NaN: NaN
+// is identical to NaN and to nothing else.
+func Identical(v, w Value) bool {
+	if v.kind != w.kind || Compare(v, w) != 0 {
+		return false
+	}
+	return v.kind != KindFloat || math.IsNaN(v.Float64()) == math.IsNaN(w.Float64())
+}
+
 // Size returns the approximate in-memory footprint of the value in bytes,
-// used by memory-budgeted operators.
+// used by memory-budgeted operators. It is a notional figure, not
+// unsafe.Sizeof: it sizes the paper's memory budget M, so it fixes the
+// runs, blocks and comparisons of every spilling sort, and it stays the
+// same whatever the struct layout.
 func (v Value) Size() int {
 	const header = 8 // kind + padding amortized
 	switch v.kind {
 	case KindString:
-		return header + 16 + len(v.s)
+		return header + 16 + int(v.x)
 	default:
 		return header + 8
 	}

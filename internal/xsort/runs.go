@@ -212,10 +212,24 @@ func (s *Sorter) formRunsLoadSort(buf []storage.Tuple, next Input) ([]*run, erro
 	return runs, nil
 }
 
-// mergeSource is one leg of a multiway merge.
+// mergeSource is one leg of a multiway merge. In a view merge the head
+// tuple views its reader's buffer and rec is its encoded record; both stay
+// valid until the leg advances.
 type mergeSource struct {
 	rd    *spill.Reader
 	tuple storage.Tuple
+	rec   []byte
+	view  bool
+}
+
+// advance moves the leg to its next tuple; ok is false at end of file.
+func (src *mergeSource) advance() (ok bool, err error) {
+	if src.view {
+		src.tuple, src.rec, ok, err = src.rd.NextView()
+	} else {
+		src.tuple, ok, err = src.rd.Next()
+	}
+	return ok, err
 }
 
 type mergeHeap struct {
@@ -245,8 +259,10 @@ func (h *mergeHeap) close() {
 	h.items = nil
 }
 
-// startMerge opens readers for all runs, decoding into arena, and primes
-// the heap. On error it closes the readers it opened.
+// startMerge opens readers for all runs and primes the heap. A non-nil
+// arena receives every decoded tuple; a nil arena makes a view merge, whose
+// legs decode each head in place over their read buffers. On error it
+// closes the readers it opened.
 func (s *Sorter) startMerge(runs []*run, arena *storage.Arena) (*mergeHeap, error) {
 	h := &mergeHeap{sorter: s}
 	for _, r := range runs {
@@ -255,7 +271,8 @@ func (s *Sorter) startMerge(runs []*run, arena *storage.Arena) (*mergeHeap, erro
 			h.close()
 			return nil, err
 		}
-		t, ok, err := rd.Next()
+		src := &mergeSource{rd: rd, view: arena == nil}
+		ok, err := src.advance()
 		if err != nil {
 			rd.Close()
 			h.close()
@@ -265,39 +282,38 @@ func (s *Sorter) startMerge(runs []*run, arena *storage.Arena) (*mergeHeap, erro
 			rd.Close()
 			continue
 		}
-		h.items = append(h.items, &mergeSource{rd: rd, tuple: t})
+		h.items = append(h.items, src)
 	}
 	heap.Init(h)
 	return h, nil
 }
 
-// mergeNext pops the globally smallest tuple and advances its source.
-func (s *Sorter) mergeNext(h *mergeHeap) (storage.Tuple, bool, error) {
-	if h.Len() == 0 {
-		return nil, false, nil
-	}
+// advanceHead moves the heap's smallest leg to its next tuple and restores
+// the heap, dropping the leg at its end of file.
+func advanceHead(h *mergeHeap) error {
 	src := h.items[0]
-	t := src.tuple
-	nt, ok, err := src.rd.Next()
+	ok, err := src.advance()
 	if err != nil {
-		return nil, false, err
+		return err
 	}
 	if ok {
-		src.tuple = nt
 		heap.Fix(h, 0)
 	} else {
 		src.rd.Close()
 		heap.Pop(h)
 	}
-	return t, true, nil
+	return nil
 }
 
 // mergeToRun merges runs into a single re-materialized run. It releases
-// the input runs on every path, and its output run on error. Merged tuples
-// are re-encoded at once, so they decode with no reserve.
+// the input runs on every path, and its output run on error. The merge
+// moves encoded records: each leg's head is decoded as a view for the
+// comparisons, and its record is written to the output unchanged before
+// the leg advances, so the pass allocates nothing per tuple and writes
+// exactly the bytes a decode and re-encode would.
 func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
 	defer releaseRuns(runs)
-	h, err := s.startMerge(runs, storage.NewArena(0))
+	h, err := s.startMerge(runs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -306,17 +322,14 @@ func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t, ok, err := s.mergeNext(h)
-		if err == nil && ok {
-			err = w.Write(t)
+	for h.Len() > 0 {
+		err := w.WriteRecord(h.items[0].rec)
+		if err == nil {
+			err = advanceHead(h)
 		}
 		if err != nil {
 			w.File().Release()
 			return nil, err
-		}
-		if !ok {
-			break
 		}
 	}
 	f, err := w.Finish()
@@ -329,8 +342,8 @@ func (s *Sorter) mergeToRun(runs []*run) (*run, error) {
 
 // mergeToSlice merges the final wave of runs straight into memory (this is
 // the pipelined final merge: no output re-materialization). It releases
-// the input runs on every path. The result's tuples come from one arena
-// with the sorter's reserve.
+// the input runs on every path. The result's tuples live on, so they come
+// from one arena with the sorter's reserve.
 func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error) {
 	defer releaseRuns(runs)
 	h, err := s.startMerge(runs, storage.NewArena(s.Reserve))
@@ -339,15 +352,11 @@ func (s *Sorter) mergeToSlice(runs []*run, sizeHint int) ([]storage.Tuple, error
 	}
 	defer h.close()
 	out := make([]storage.Tuple, 0, sizeHint)
-	for {
-		t, ok, err := s.mergeNext(h)
-		if err != nil {
+	for h.Len() > 0 {
+		out = append(out, h.items[0].tuple)
+		if err := advanceHead(h); err != nil {
 			return nil, err
 		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
 	}
 	return out, nil
 }
